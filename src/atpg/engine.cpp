@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "atpg/compaction.h"
 #include "obs/diag.h"
 #include "obs/metrics.h"
 
@@ -22,14 +21,9 @@ double AtpgResult::testable_coverage_percent() const {
 }
 
 AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
-                    const AtpgOptions& opts) {
-  return run_atpg(nl, faults, opts,
-                  std::make_shared<netlist::CompiledCircuit>(nl));
-}
-
-AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
                     const AtpgOptions& opts,
                     std::shared_ptr<const netlist::CompiledCircuit> compiled) {
+  if (!compiled) compiled = std::make_shared<netlist::CompiledCircuit>(nl);
   AtpgResult result;
   result.verdict.assign(faults.size(), FaultVerdict::kAborted);
 
@@ -69,50 +63,37 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   result.random_patterns_used = pool.size();
 
   // ---- Phase 2: PODEM on remaining faults -----------------------------
-  Podem podem(nl, compiled, opts.podem);
-  if (opts.static_cube_compaction) {
-    // COMPACTEST-style strategy: generate cubes for every remaining
-    // fault first, merge compatible cubes, then X-fill and simulate the
-    // compacted set.  Verdicts for redundant/aborted faults are final;
-    // any target fault a merged pattern happens to miss (merging can
-    // only respect care bits, not dynamic detection) falls through to
-    // the per-fault loop below.
-    std::vector<TestCube> cubes;
-    for (std::size_t fid = 0; fid < faults.size(); ++fid) {
-      if (!remaining[fid]) continue;
-      const PodemResult pr = podem.generate(faults[fid]);
-      if (pr.status == PodemStatus::kUntestable) {
-        remaining[fid] = false;
-        result.verdict[fid] = FaultVerdict::kRedundant;
-        ++result.redundant_faults;
-        --num_remaining;
-      } else if (pr.status == PodemStatus::kTestFound) {
-        cubes.push_back(TestCube{pr.pattern, pr.care});
-      }
-      // Aborted faults stay `remaining` for the fallback loop, which
-      // will re-run PODEM and record the abort verdict uniformly.
-    }
-    for (const TestCube& c : compact_cubes(std::move(cubes))) {
-      util::WideWord pat = c.pattern;
+  // The one drop path for deterministic patterns: X-fills `pat` at
+  // random where `care` is given (a PODEM cube; a SAT model is fully
+  // specified), fault-simulates it against every remaining fault, drops
+  // each fault it catches and keeps the pattern if it caught any.
+  // Returns whether `target` was among them.
+  const auto simulate_and_drop = [&](util::WideWord pat,
+                                     const util::WideWord* care,
+                                     std::size_t target) {
+    if (care != nullptr) {
       for (std::size_t i = 0; i < pat.bits(); ++i) {
-        if (!c.care.get_bit(i) && rng.next_bool()) pat.set_bit(i, true);
-      }
-      sim::PatternSet one(nl.num_inputs(), 0);
-      one.append(pat);
-      const sim::FaultSimResult r = fsim.run_subset(one, remaining);
-      std::size_t caught = 0;
-      r.detected.for_each_set([&](std::size_t hit) {
-        remaining[hit] = false;
-        result.verdict[hit] = FaultVerdict::kDetected;
-        --num_remaining;
-        ++caught;
-      });
-      if (caught > 0) {
-        pool.append(pat);
-        ++result.deterministic_patterns;
+        if (!care->get_bit(i) && rng.next_bool()) pat.set_bit(i, true);
       }
     }
-  }
+    sim::PatternSet one(nl.num_inputs(), 0);
+    one.append(pat);
+    const sim::FaultSimResult r = fsim.run_subset(one, remaining);
+    std::size_t caught = 0;
+    r.detected.for_each_set([&](std::size_t hit) {
+      remaining[hit] = false;
+      result.verdict[hit] = FaultVerdict::kDetected;
+      --num_remaining;
+      ++caught;
+    });
+    if (caught > 0) {
+      pool.append(pat);
+      ++result.deterministic_patterns;
+    }
+    return r.detected.get(target);
+  };
+
+  Podem podem(nl, compiled, opts.podem);
   // SAT escalation target (lazy: built on the first PODEM abort only —
   // clean runs never pay the good-circuit CNF emission).
   std::unique_ptr<SatEngine> sat;
@@ -141,20 +122,10 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
           --num_remaining;
           continue;
         }
+        // The drop campaign validates the model: the target is still
+        // remaining, so the campaign reports whether the model catches it.
         if (sr.status == SatStatus::kDetected) {
-          if (fsim.detects(sr.pattern, fid)) {
-            // Validated pattern: same fault-dropping treatment as a
-            // PODEM pattern (it is already fully specified — no X-fill).
-            sim::PatternSet one(nl.num_inputs(), 0);
-            one.append(sr.pattern);
-            const sim::FaultSimResult r = fsim.run_subset(one, remaining);
-            r.detected.for_each_set([&](std::size_t hit) {
-              remaining[hit] = false;
-              result.verdict[hit] = FaultVerdict::kDetected;
-              --num_remaining;
-            });
-            pool.append(sr.pattern);
-            ++result.deterministic_patterns;
+          if (simulate_and_drop(sr.pattern, nullptr, fid)) {
             ++result.sat_detected_faults;
             OBS_COUNT(c_sat_detected, 1);
             continue;
@@ -171,29 +142,9 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
       --num_remaining;
       continue;
     }
-    // Random X-fill, then drop every remaining fault the pattern catches.
-    util::WideWord pat = pr.pattern;
-    for (std::size_t i = 0; i < pat.bits(); ++i) {
-      if (!pr.care.get_bit(i) && rng.next_bool()) pat.set_bit(i, true);
-    }
-    sim::PatternSet one(nl.num_inputs(), 0);
-    one.append(pat);
-    const sim::FaultSimResult r = fsim.run_subset(one, remaining);
-    bool caught_target = false;
-    std::size_t caught = 0;
-    r.detected.for_each_set([&](std::size_t hit) {
-      remaining[hit] = false;
-      result.verdict[hit] = FaultVerdict::kDetected;
-      --num_remaining;
-      ++caught;
-      if (hit == fid) caught_target = true;
-    });
-    (void)caught_target;  // the PODEM pattern must catch its target;
-                          // verified by tests, tolerated here
-    if (caught > 0) {
-      pool.append(pat);
-      ++result.deterministic_patterns;
-    }
+    // The PODEM pattern must catch its target; verified by tests,
+    // tolerated here.
+    simulate_and_drop(pr.pattern, &pr.care, fid);
   }
 
   // ---- Phase 3: reverse-order compaction ------------------------------

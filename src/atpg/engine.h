@@ -3,9 +3,12 @@
 // Pipeline (standard industrial shape):
 //   1. random-pattern phase: 64-pattern blocks, fault simulation with
 //      dropping, stops after a run of unproductive blocks;
-//   2. deterministic phase: PODEM per remaining fault, X-fill, then the
-//      new pattern is fault-simulated against all remaining faults
-//      (fault dropping);
+//   2. deterministic phase: PODEM per remaining fault; a PODEM abort
+//      escalates to atpg::SatEngine when enabled.  Each new pattern
+//      (PODEM cube X-filled at random, or a fully specified SAT model)
+//      is fault-simulated against all remaining faults and drops every
+//      fault it catches; a SAT model is accepted only if that campaign
+//      catches its target;
 //   3. reverse-order compaction: patterns are fault-simulated in reverse
 //      order; patterns that detect no yet-undetected fault are dropped.
 //
@@ -32,12 +35,6 @@ struct AtpgOptions {
   std::size_t unproductive_block_limit = 3;  // stop random phase after N dry blocks
   PodemOptions podem;
   bool compact = true;  // reverse-order compaction pass
-  /// Static cube compaction (COMPACTEST-style): PODEM cubes for the
-  /// remaining faults are merged on compatibility *before* X-fill, so
-  /// one filled pattern serves several target faults.  Off by default —
-  /// the dynamic flow (fault dropping per generated pattern) usually
-  /// compacts as well; see AtpgEngine.StaticCompactionKeepsCoverage.
-  bool static_cube_compaction = false;
   /// SAT escalation: when PODEM aborts on a fault, hand it to
   /// atpg::SatEngine, which either produces a validated test pattern or
   /// a redundancy certificate (see sat_engine.h).  On by default —
@@ -74,16 +71,14 @@ struct AtpgResult {
   double testable_coverage_percent() const;
 };
 
-/// Runs the full ATPG flow for `faults` on `nl`.  Compiles the circuit
-/// once internally; fault simulator and PODEM share the compiled form.
+/// Runs the full ATPG flow for `faults` on `nl`.  The fault simulator,
+/// PODEM and the SAT engine share one compiled form: `compiled` (which
+/// must describe `nl`) when given — reseed::Pipeline compiles once per
+/// circuit for ATPG, fault simulation and every TPG evaluation — else
+/// the function compiles `nl` itself.
 AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
-                    const AtpgOptions& opts = {});
-
-/// Like above, but shares a caller-provided compiled circuit (must
-/// describe `nl`) — used by reseed::Pipeline, which compiles once per
-/// circuit for ATPG, fault simulation, and every TPG evaluation.
-AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
-                    const AtpgOptions& opts,
-                    std::shared_ptr<const netlist::CompiledCircuit> compiled);
+                    const AtpgOptions& opts = {},
+                    std::shared_ptr<const netlist::CompiledCircuit> compiled =
+                        nullptr);
 
 }  // namespace fbist::atpg

@@ -140,8 +140,10 @@ std::string metrics_to_json(const MetricsSnapshot& s) {
 }
 
 Registry& Registry::global() {
-  static Registry instance;
-  return instance;
+  // Never destroyed: pool workers touch it until the scheduler's
+  // exit-time join, which may run after this TU's static destructors.
+  static auto* instance = new Registry;
+  return *instance;
 }
 
 Counter& Registry::counter(const std::string& name) {

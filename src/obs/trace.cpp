@@ -21,8 +21,10 @@ thread_local LocalBuffers tls_buffers;
 }  // namespace
 
 Tracer& Tracer::global() {
-  static Tracer instance;
-  return instance;
+  // Never destroyed: pool workers touch it until the scheduler's
+  // exit-time join, which may run after this TU's static destructors.
+  static auto* instance = new Tracer;
+  return *instance;
 }
 
 Tracer::ThreadBuffer& Tracer::local_buffer() {

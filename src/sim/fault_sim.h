@@ -1,11 +1,13 @@
 // Parallel-pattern single-fault-propagation (PPSFP) fault simulation.
 //
-// For each 64-pattern block the simulator computes good values once,
-// then for each live fault re-evaluates only the fault's fanout cone
-// with the fault site forced, comparing cone primary outputs against the
-// good response.  Detection bits, and optionally the *earliest detecting
-// pattern index* per fault, are accumulated — the latter drives the
-// paper's per-triplet test-length trimming.
+// Every campaign runs one loop, FaultSim::run_packed: good values are
+// computed once per 64-pattern block, then for each live fault site the
+// fault's fanout cone is re-evaluated with the site forced, and cone
+// primary outputs are compared against the good response.  The earliest
+// detecting pattern index per fault is recorded — it drives the
+// paper's per-triplet test-length trimming.  A campaign's patterns may
+// hold many independent rows (lane packing, sim::pack_rows), each with
+// its own results; run / run_subset / detects are one-row adapters.
 //
 // The cone walk streams the precompiled cone programs of a
 // netlist::CompiledCircuit (cone-local slot numbering, flat fanin
@@ -16,9 +18,13 @@
 //  * site pairing: sa0 and sa1 on the same net activate on disjoint
 //    pattern lanes, so one walk with the site complemented per lane
 //    simulates both faults exactly — dual-polarity nets cost one walk;
-//  * 4-wide chunks: block 0 is walked alone (most faults are detected
-//    there at single-block cost); faults that survive it evaluate four
-//    64-pattern blocks per walk over block-interleaved good values.
+//  * wide chunks: a single-block campaign takes one narrow walk per
+//    site; a multi-block campaign evaluates four or eight 64-pattern
+//    blocks per walk over block-interleaved good values (runtime SIMD
+//    dispatch, util/simd.h).
+//
+// A fault stops being simulated once detected (per row): blocks are
+// walked in pattern order, so the first detection is final.
 #pragma once
 
 #include <cstddef>
@@ -72,60 +78,34 @@ class FaultSim {
   FaultSim(const netlist::Netlist& nl, const fault::FaultList& faults,
            std::shared_ptr<const netlist::CompiledCircuit> compiled);
 
-  /// Simulates all patterns against all faults.
-  ///
-  /// `stop_after_first_detection` enables within-campaign fault dropping:
-  /// once a fault is detected its remaining blocks are skipped (the
-  /// earliest index is exact either way, because blocks are processed in
-  /// pattern order and within a block the lowest set lane is taken).
-  ///
-  /// `parallel` distributes faults across hardware threads.
-  FaultSimResult run(const PatternSet& patterns,
-                     bool stop_after_first_detection = true,
-                     bool parallel = true) const;
+  /// Simulates all patterns against all faults.  `parallel`
+  /// distributes fault sites across the shared worker pool.
+  FaultSimResult run(const PatternSet& patterns, bool parallel = true) const;
 
   /// Simulates patterns against the subset of faults flagged `active`
-  /// (size = fault count).  Used by the ATPG's fault-dropping loop.
+  /// (size = fault count); the others stay undetected.  Used by the
+  /// ATPG's fault-dropping loop.
   FaultSimResult run_subset(const PatternSet& patterns,
                             const std::vector<bool>& active,
-                            bool stop_after_first_detection = true,
                             bool parallel = true) const;
 
-  /// Simulates many *independent* pattern sets ("rows", e.g. one per
-  /// reseeding candidate triplet) in one call, packing ⌊64/T⌋ rows into
-  /// the lanes of shared 64-pattern blocks (sim::pack_rows): good values
-  /// are computed once per packed block and each fault's cone is walked
-  /// once per block instead of once per row, which is the dominant cost
-  /// of the detection-matrix build at the paper's small T values.
+  /// The campaign loop.  Simulates one packed pattern set whose lane
+  /// layout is described by `packing`: several independent rows (e.g.
+  /// one per reseeding candidate triplet, expanded straight into their
+  /// lanes by tpg::expand_triplet_into) share each 64-pattern block, so
+  /// good values are computed once per block and each fault's cone is
+  /// walked once per block instead of once per row — the dominant cost
+  /// of the detection-matrix build at the paper's small T values.  Lane
+  /// ranges must be disjoint, a row of length <= 64 must not straddle a
+  /// block boundary, and packed lanes outside every row are ignored.
   ///
-  /// Returns one FaultSimResult per row, bit-identical to calling
-  /// run(rows[i], ...) per row — detection bits *and* earliest indices.
-  /// `stop_after_first_detection` is accepted for symmetry with run();
-  /// as there, it never changes results (blocks are processed in
-  /// pattern order, so the first detection of a packed row is final),
-  /// and within a packed block dropping is tracked per row: a fault
-  /// detected by one row keeps simulating in every other row's lanes.
-  std::vector<FaultSimResult> run_batched(const PatternSet* rows,
-                                          std::size_t num_rows,
-                                          bool stop_after_first_detection = true,
-                                          bool parallel = true) const;
-  std::vector<FaultSimResult> run_batched(const std::vector<PatternSet>& rows,
-                                          bool stop_after_first_detection = true,
-                                          bool parallel = true) const {
-    return run_batched(rows.data(), rows.size(), stop_after_first_detection,
-                       parallel);
-  }
-
-  /// Lower-level batched entry point: simulates one pre-packed pattern
-  /// set whose lane layout is described by `packing` (callers that
-  /// expand rows straight into the packed set — tpg::expand_triplet_into
-  /// — skip the intermediate per-row PatternSet entirely).  Lane ranges
-  /// must be disjoint, a row of length <= 64 must not straddle a block
-  /// boundary, and packed lanes outside every row are ignored.  Returns
-  /// one result per packing.rows entry, in that order.
-  std::vector<FaultSimResult> run_packed(const PatternSet& packed,
-                                         const LanePacking& packing,
-                                         bool parallel = true) const;
+  /// Returns one result per packing.rows entry, in that order, each
+  /// bit-identical to a run() over that row alone (detection bits and
+  /// row-local earliest indices).  When `active` is given (size = fault
+  /// count), only flagged faults are simulated.
+  std::vector<FaultSimResult> run_packed(
+      const PatternSet& packed, const LanePacking& packing,
+      bool parallel = true, const std::vector<bool>* active = nullptr) const;
 
   /// True iff `pattern` detects fault `f` (single-pattern probe).
   bool detects(const util::WideWord& pattern, std::size_t fault_id) const;

@@ -53,15 +53,13 @@ ReferenceFaultSim::ReferenceFaultSim(const netlist::Netlist& nl,
     : nl_(nl), faults_(faults), good_sim_(nl), cones_(nl) {}
 
 FaultSimResult ReferenceFaultSim::run(const PatternSet& patterns,
-                                      bool stop_after_first_detection,
                                       bool parallel) const {
   std::vector<bool> all(faults_.size(), true);
-  return run_subset(patterns, all, stop_after_first_detection, parallel);
+  return run_subset(patterns, all, parallel);
 }
 
 FaultSimResult ReferenceFaultSim::run_subset(const PatternSet& patterns,
                                              const std::vector<bool>& active,
-                                             bool stop_after_first_detection,
                                              bool parallel) const {
   assert(active.size() == faults_.size());
   const std::size_t nf = faults_.size();
@@ -152,7 +150,6 @@ FaultSimResult ReferenceFaultSim::run_subset(const PatternSet& patterns,
         return;
       }
     }
-    (void)stop_after_first_detection;  // first detection always terminates
   };
 
   if (parallel && workers > 1) {

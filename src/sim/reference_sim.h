@@ -44,12 +44,9 @@ class ReferenceFaultSim {
  public:
   ReferenceFaultSim(const netlist::Netlist& nl, const fault::FaultList& faults);
 
-  FaultSimResult run(const PatternSet& patterns,
-                     bool stop_after_first_detection = true,
-                     bool parallel = true) const;
+  FaultSimResult run(const PatternSet& patterns, bool parallel = true) const;
   FaultSimResult run_subset(const PatternSet& patterns,
                             const std::vector<bool>& active,
-                            bool stop_after_first_detection = true,
                             bool parallel = true) const;
 
  private:

@@ -29,11 +29,15 @@ struct Site {
 // Armed sites.  configure() swaps the whole map under the mutex;
 // eval_slow takes the same mutex for its lookup — firing sits on error
 // paths and cold I/O paths, never inside a compute loop, so contention
-// is irrelevant next to determinism.
-std::mutex g_mu;
-std::map<std::string, std::unique_ptr<Site>>& sites() {
-  static auto* m = new std::map<std::string, std::unique_ptr<Site>>();
-  return *m;
+// is irrelevant next to determinism.  Never destroyed: a pool worker
+// may still evaluate a site while the process runs static destructors.
+struct SiteRegistry {
+  std::mutex mu;
+  std::map<std::string, std::unique_ptr<Site>> sites;
+};
+SiteRegistry& registry() {
+  static auto* r = new SiteRegistry;
+  return *r;
 }
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -170,7 +174,7 @@ std::unique_ptr<Site> parse_action(const std::string& action,
 
 void refresh_armed_flag() {
   bool any = false;
-  for (const auto& [name, s] : sites()) {
+  for (const auto& [name, s] : registry().sites) {
     (void)name;
     if (s->kind != Kind::kOff) any = true;
   }
@@ -186,9 +190,9 @@ void eval_slow(const char* site_name) {
   Kind kind = Kind::kOff;
   std::uint64_t delay_ms = 0;
   {
-    std::lock_guard<std::mutex> lock(g_mu);
-    auto it = sites().find(site_name);
-    if (it == sites().end()) return;
+    std::lock_guard<std::mutex> lock(registry().mu);
+    auto it = registry().sites.find(site_name);
+    if (it == registry().sites.end()) return;
     Site& s = *it->second;
     if (s.kind == Kind::kOff) return;
     const std::uint64_t n = s.evals.fetch_add(1, std::memory_order_relaxed);
@@ -260,8 +264,8 @@ void configure(const std::string& spec) {
     parsed.emplace(site, parse_action(action, pair));
   }
   {
-    std::lock_guard<std::mutex> lock(g_mu);
-    sites() = std::move(parsed);
+    std::lock_guard<std::mutex> lock(registry().mu);
+    registry().sites = std::move(parsed);
     refresh_armed_flag();
   }
 }
@@ -280,8 +284,8 @@ bool configure_from_env() {
 }
 
 void clear() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  sites().clear();
+  std::lock_guard<std::mutex> lock(registry().mu);
+  registry().sites.clear();
   refresh_armed_flag();
 }
 
@@ -290,17 +294,17 @@ bool armed() {
 }
 
 std::uint64_t fires(const std::string& site) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  auto it = sites().find(site);
-  return it == sites().end()
+  std::lock_guard<std::mutex> lock(registry().mu);
+  auto it = registry().sites.find(site);
+  return it == registry().sites.end()
              ? 0
              : it->second->fired.load(std::memory_order_relaxed);
 }
 
 std::uint64_t injected_count() {
-  std::lock_guard<std::mutex> lock(g_mu);
+  std::lock_guard<std::mutex> lock(registry().mu);
   std::uint64_t total = 0;
-  for (const auto& [name, s] : sites()) {
+  for (const auto& [name, s] : registry().sites) {
     (void)name;
     total += s->fired.load(std::memory_order_relaxed);
   }

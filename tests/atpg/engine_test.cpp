@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "circuits/generator.h"
 #include "circuits/registry.h"
 
@@ -83,30 +86,55 @@ TEST(AtpgEngine, HighCoverageOnRegistryCircuit) {
   EXPECT_LT(r.patterns.size(), fl.size());
 }
 
-TEST(AtpgEngine, StaticCompactionKeepsCoverage) {
-  circuits::GeneratorSpec spec;
-  spec.num_inputs = 14;
-  spec.num_outputs = 7;
-  spec.num_gates = 150;
-  spec.xor_share = 0.3;
-  spec.seed = 23;
-  const auto nl = circuits::generate(spec);
-  const auto fl = fault::FaultList::collapsed(nl);
+// FNV-1a over every pattern's bits (input 0 first), one separator per
+// pattern, so reordering, resizing or flipping any bit changes it.
+std::uint64_t pattern_fingerprint(const sim::PatternSet& ps) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](unsigned char c) {
+    h ^= c;
+    h *= 1099511628211ull;
+  };
+  for (std::size_t p = 0; p < ps.size(); ++p) {
+    for (const char c : ps.pattern_string(p)) mix(static_cast<unsigned char>(c));
+    mix('|');
+  }
+  return h;
+}
 
-  AtpgOptions plain, cubes;
-  cubes.static_cube_compaction = true;
-  const AtpgResult a = run_atpg(nl, fl, plain);
-  const AtpgResult b = run_atpg(nl, fl, cubes);
-
-  // Same coverage of testable faults, both verified by simulation.
-  EXPECT_DOUBLE_EQ(a.testable_coverage_percent(),
-                   b.testable_coverage_percent());
-  sim::FaultSim fsim(nl, fl);
-  const auto check = fsim.run(b.patterns);
-  for (std::size_t f = 0; f < fl.size(); ++f) {
-    if (b.verdict[f] == FaultVerdict::kDetected) {
-      EXPECT_TRUE(check.detected.get(f)) << fault_name(nl, fl[f]);
-    }
+// Pins run_atpg's output on registry circuits, so a refactor of the
+// engine or the fault simulator cannot drift patterns, verdict tallies
+// or the X-fill RNG draw order unnoticed.  A deliberate policy change
+// refreshes these values and says so in its changelog.  The c880 run
+// at backtrack_limit 4 forces more SAT escalation through its drop path.
+TEST(AtpgEngine, GoldenFingerprint) {
+  struct Golden {
+    const char* circuit;
+    std::size_t backtrack_limit;  // 0 = default PodemOptions
+    std::size_t patterns, random, deterministic;
+    std::size_t redundant, sat_detected, sat_redundant;
+    std::uint64_t fingerprint;
+  };
+  const Golden goldens[] = {
+      {"c17", 0, 6, 6, 0, 0, 0, 0, 9647798959854458122ull},
+      {"c432", 0, 25, 30, 3, 25, 0, 10, 10015249281273688735ull},
+      {"c880", 0, 36, 65, 17, 87, 7, 43, 17841512216515266964ull},
+      {"c880", 4, 40, 65, 18, 87, 17, 74, 9341020332839906239ull},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(std::string(g.circuit) + " backtrack_limit=" +
+                 std::to_string(g.backtrack_limit));
+    const auto nl = circuits::make_circuit(g.circuit);
+    const auto fl = fault::FaultList::collapsed(nl);
+    AtpgOptions opts;
+    if (g.backtrack_limit != 0) opts.podem.backtrack_limit = g.backtrack_limit;
+    const AtpgResult r = run_atpg(nl, fl, opts);
+    EXPECT_EQ(r.patterns.size(), g.patterns);
+    EXPECT_EQ(r.random_patterns_used, g.random);
+    EXPECT_EQ(r.deterministic_patterns, g.deterministic);
+    EXPECT_EQ(r.redundant_faults, g.redundant);
+    EXPECT_EQ(r.sat_detected_faults, g.sat_detected);
+    EXPECT_EQ(r.sat_redundant_faults, g.sat_redundant);
+    EXPECT_EQ(pattern_fingerprint(r.patterns), g.fingerprint);
   }
 }
 

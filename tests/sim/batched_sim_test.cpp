@@ -1,8 +1,8 @@
-// Lane-packed batched fault simulation (FaultSim::run_batched /
-// run_packed): the packed path must be bit-identical to the per-row
-// path — detection bits *and* earliest indices — for every T regime the
-// paper sweeps, odd batch remainders, paired sa0/sa1 sites, and any
-// worker count.
+// Lane-packed batched fault simulation (FaultSim::run_packed over
+// sim::pack_rows packings): the packed path must be bit-identical to the
+// per-row path — detection bits *and* earliest indices — for every T
+// regime the paper sweeps, odd batch remainders, paired sa0/sa1 sites,
+// and any worker count.
 #include <cstddef>
 #include <vector>
 
@@ -13,6 +13,7 @@
 #include "fault/fault.h"
 #include "sim/fault_sim.h"
 #include "sim/pattern.h"
+#include "sim/reference_sim.h"
 #include "tpg/lfsr.h"
 #include "tpg/triplet.h"
 #include "util/rng.h"
@@ -30,6 +31,29 @@ std::vector<PatternSet> random_rows(std::size_t num_rows, std::size_t cycles,
     rows.push_back(PatternSet::random(width, cycles, rng));
   }
   return rows;
+}
+
+/// Simulates independent rows in lane-packed campaigns, the way the
+/// detection-matrix build does: pack_rows + write_patterns + run_packed.
+/// Returns one result per row, in row order.
+std::vector<FaultSimResult> run_rows(const FaultSim& fsim,
+                                     const std::vector<PatternSet>& rows,
+                                     bool parallel = true) {
+  std::vector<std::size_t> lengths;
+  for (const PatternSet& r : rows) lengths.push_back(r.size());
+  std::vector<FaultSimResult> results(rows.size());
+  for (const LanePacking& pk :
+       pack_rows(lengths, util::preferred_pack_blocks())) {
+    PatternSet packed(fsim.netlist().num_inputs(), pk.num_patterns);
+    for (const LanePacking::Row& pr : pk.rows) {
+      if (pr.length > 0) packed.write_patterns(pr.base, rows[pr.row]);
+    }
+    std::vector<FaultSimResult> rs = fsim.run_packed(packed, pk, parallel);
+    for (std::size_t i = 0; i < pk.rows.size(); ++i) {
+      results[pk.rows[i].row] = std::move(rs[i]);
+    }
+  }
+  return results;
 }
 
 void expect_identical(const FaultSimResult& a, const FaultSimResult& b,
@@ -55,7 +79,7 @@ void check_batched_equivalence(const std::string& circuit, bool collapsed,
   for (const auto& r : rows) per_row.push_back(fsim.run(r));
 
   for (const bool parallel : {false, true}) {
-    const auto batched = fsim.run_batched(rows, true, parallel);
+    const auto batched = run_rows(fsim, rows, parallel);
     ASSERT_EQ(batched.size(), rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       expect_identical(batched[i], per_row[i],
@@ -96,7 +120,7 @@ TEST(BatchedSim, OddRemaindersAndMixedLengths) {
   for (const std::size_t len : {5, 1, 40, 40, 0, 64, 7, 100, 3}) {
     rows.push_back(PatternSet::random(nl.num_inputs(), len, rng));
   }
-  const auto batched = fsim.run_batched(rows);
+  const auto batched = run_rows(fsim, rows);
   ASSERT_EQ(batched.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto direct = fsim.run(rows[i]);
@@ -108,10 +132,10 @@ TEST(BatchedSim, EmptyInputs) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
-  EXPECT_TRUE(fsim.run_batched(std::vector<PatternSet>{}).empty());
+  EXPECT_TRUE(run_rows(fsim, {}).empty());
 
   std::vector<PatternSet> rows(3, PatternSet(nl.num_inputs(), 0));
-  const auto batched = fsim.run_batched(rows);
+  const auto batched = run_rows(fsim, rows);
   ASSERT_EQ(batched.size(), 3u);
   for (const auto& r : batched) {
     EXPECT_EQ(r.num_detected(), 0u);
@@ -119,17 +143,30 @@ TEST(BatchedSim, EmptyInputs) {
   }
 }
 
-// stop_after_first_detection never changes results (blocks are walked
-// in pattern order), matching the per-row contract.
+// A fault stops being simulated in a row once that row detects it.
+// That never changes results: blocks are walked in pattern order, so a
+// row's prefix detects exactly the faults whose earliest index lies
+// inside it, at the same index.
 TEST(BatchedSim, StopAfterFirstDetectionIsResultNeutral) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
-  const auto rows = random_rows(7, 9, nl.num_inputs(), 3);
-  const auto a = fsim.run_batched(rows, /*stop_after_first_detection=*/true);
-  const auto b = fsim.run_batched(rows, /*stop_after_first_detection=*/false);
+  const auto rows = random_rows(7, 100, nl.num_inputs(), 3);
+  std::vector<PatternSet> prefixes;
+  constexpr std::size_t kPrefix = 70;  // straddles the first block boundary
+  for (const PatternSet& r : rows) {
+    PatternSet p(nl.num_inputs(), kPrefix);
+    for (std::size_t i = 0; i < kPrefix; ++i) p.set_pattern(i, r.pattern(i));
+    prefixes.push_back(std::move(p));
+  }
+  const auto full = run_rows(fsim, rows);
+  const auto head = run_rows(fsim, prefixes);
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    expect_identical(a[i], b[i], "stop-flag", i);
+    for (std::size_t f = 0; f < fl.size(); ++f) {
+      const std::uint32_t want =
+          full[i].earliest[f] < kPrefix ? full[i].earliest[f] : kNotDetected;
+      ASSERT_EQ(head[i].earliest[f], want) << "row " << i << " fault " << f;
+    }
   }
 }
 
@@ -142,9 +179,9 @@ TEST(BatchedSim, BitIdenticalAcrossWorkerCounts) {
   const auto rows = random_rows(17, 7, nl.num_inputs(), 11);
 
   campaign::Scheduler::global().set_workers(1);
-  const auto one = fsim.run_batched(rows);
+  const auto one = run_rows(fsim, rows);
   campaign::Scheduler::global().set_workers(4);
-  const auto four = fsim.run_batched(rows);
+  const auto four = run_rows(fsim, rows);
   campaign::Scheduler::global().set_workers(0);  // restore default
   for (std::size_t i = 0; i < rows.size(); ++i) {
     expect_identical(one[i], four[i], "workers", i);
@@ -208,12 +245,12 @@ TEST(SimdDispatch, ForcedTiersBitIdenticalBatched) {
     const auto rows = random_rows(11, cycles, nl.num_inputs(),
                                   /*seed=*/cycles * 31 + 5);
     util::set_simd_tier(util::SimdTier::kNarrow);
-    const auto narrow = fsim.run_batched(rows);
+    const auto narrow = run_rows(fsim, rows);
     for (const util::SimdTier tier :
          {util::SimdTier::kWide4, util::SimdTier::kWide8,
           util::SimdTier::kAuto}) {
       util::set_simd_tier(tier);
-      const auto other = fsim.run_batched(rows);
+      const auto other = run_rows(fsim, rows);
       ASSERT_EQ(other.size(), narrow.size());
       for (std::size_t i = 0; i < rows.size(); ++i) {
         expect_identical(other[i], narrow[i], "tier", i);
@@ -222,24 +259,34 @@ TEST(SimdDispatch, ForcedTiersBitIdenticalBatched) {
   }
 }
 
-// Long campaigns through run(): block 0 leads narrow, the remaining
-// blocks chunk at the forced width (10 blocks = two full 4-wide chunks
-// + remainder, or one full 8-wide chunk + remainder — both with padded
-// tail lanes).
+// Long campaigns through run() and a masked run_subset(): every block
+// chunks from block 0 at the forced width (10 blocks = two full 4-wide
+// chunks + a padded one, or one full 8-wide chunk + a padded one, with
+// padded tail lanes).  The masked campaign activates every third fault
+// and is also pinned to the reference simulator.
 TEST(SimdDispatch, ForcedTiersBitIdenticalLongRun) {
   const auto nl = circuits::make_circuit("c432");
   const auto fl = fault::FaultList::collapsed(nl);
   FaultSim fsim(nl, fl);
   util::Rng rng(19);
   const PatternSet patterns = PatternSet::random(nl.num_inputs(), 600, rng);
+  std::vector<bool> sparse(fl.size(), false);
+  for (std::size_t f = 0; f < fl.size(); f += 3) sparse[f] = true;
+  const FaultSimResult reference =
+      ReferenceFaultSim(nl, fl).run_subset(patterns, sparse);
   TierGuard guard;
   util::set_simd_tier(util::SimdTier::kNarrow);
   const auto narrow = fsim.run(patterns);
+  const auto narrow_masked = fsim.run_subset(patterns, sparse);
+  expect_identical(narrow_masked, reference, "masked-narrow-vs-reference", 0);
   for (const util::SimdTier tier :
        {util::SimdTier::kWide4, util::SimdTier::kWide8, util::SimdTier::kAuto}) {
     util::set_simd_tier(tier);
     const auto other = fsim.run(patterns);
     expect_identical(other, narrow, "long-run-tier", 0);
+    const auto masked = fsim.run_subset(patterns, sparse);
+    expect_identical(masked, narrow_masked, "masked-tier", 0);
+    expect_identical(masked, reference, "masked-tier-vs-reference", 0);
   }
 }
 
@@ -254,9 +301,9 @@ TEST(SimdDispatch, Wide8BitIdenticalAcrossWorkerCounts) {
   TierGuard guard;
   util::set_simd_tier(util::SimdTier::kWide8);
   campaign::Scheduler::global().set_workers(1);
-  const auto one = fsim.run_batched(rows);
+  const auto one = run_rows(fsim, rows);
   campaign::Scheduler::global().set_workers(4);
-  const auto four = fsim.run_batched(rows);
+  const auto four = run_rows(fsim, rows);
   campaign::Scheduler::global().set_workers(0);  // restore default
   for (std::size_t i = 0; i < rows.size(); ++i) {
     expect_identical(one[i], four[i], "wide8-workers", i);

@@ -76,11 +76,11 @@ TEST(CompiledEquiv, FaultSimMatchesReferenceFullAndCollapsed) {
       FaultSim fsim(nl, fl);
       ReferenceFaultSim ref(nl, fl);
       util::Rng rng(8);
-      // 300 patterns exercises the narrow lead block, the 4-wide chunk
-      // path, and a partial tail block at once.
+      // 300 patterns (5 blocks) exercises the chunk path from block 0,
+      // a padded chunk, and a partial tail block at once.
       const PatternSet ps = PatternSet::random(nl.num_inputs(), 300, rng);
-      const FaultSimResult got = fsim.run(ps, true, /*parallel=*/false);
-      const FaultSimResult want = ref.run(ps, true, /*parallel=*/false);
+      const FaultSimResult got = fsim.run(ps, /*parallel=*/false);
+      const FaultSimResult want = ref.run(ps, /*parallel=*/false);
       EXPECT_EQ(got.detected, want.detected) << nl.summary();
       EXPECT_EQ(got.earliest, want.earliest) << nl.summary();
     }
@@ -98,8 +98,8 @@ TEST(CompiledEquiv, FaultSimSubsetMatchesReference) {
   // polarities of paired sites.
   std::vector<bool> active(fl.size());
   for (std::size_t i = 0; i < active.size(); ++i) active[i] = rng.next_bool();
-  const FaultSimResult got = fsim.run_subset(ps, active, true, false);
-  const FaultSimResult want = ref.run_subset(ps, active, true, false);
+  const FaultSimResult got = fsim.run_subset(ps, active, /*parallel=*/false);
+  const FaultSimResult want = ref.run_subset(ps, active, /*parallel=*/false);
   EXPECT_EQ(got.detected, want.detected);
   EXPECT_EQ(got.earliest, want.earliest);
 }
@@ -127,11 +127,14 @@ TEST(CompiledEquiv, ScanWalkVariantMatchesReferenceOnDeepCones) {
   FaultSim fsim(nl, fl);
   ReferenceFaultSim ref(nl, fl);
   util::Rng rng(9);
-  const PatternSet ps = PatternSet::random(nl.num_inputs(), 192, rng);
-  const FaultSimResult got = fsim.run(ps, true, /*parallel=*/false);
-  const FaultSimResult want = ref.run(ps, true, /*parallel=*/false);
-  EXPECT_EQ(got.detected, want.detected);
-  EXPECT_EQ(got.earliest, want.earliest);
+  // One block takes the narrow walk; three blocks take the chunk walk.
+  for (const std::size_t patterns : {64, 192}) {
+    const PatternSet ps = PatternSet::random(nl.num_inputs(), patterns, rng);
+    const FaultSimResult got = fsim.run(ps, /*parallel=*/false);
+    const FaultSimResult want = ref.run(ps, /*parallel=*/false);
+    EXPECT_EQ(got.detected, want.detected) << patterns << " patterns";
+    EXPECT_EQ(got.earliest, want.earliest) << patterns << " patterns";
+  }
 }
 
 TEST(CompiledEquiv, FaultSimParallelMatchesSerial) {
@@ -140,8 +143,8 @@ TEST(CompiledEquiv, FaultSimParallelMatchesSerial) {
   FaultSim fsim(nl, fl);
   util::Rng rng(21);
   const PatternSet ps = PatternSet::random(nl.num_inputs(), 320, rng);
-  const FaultSimResult par = fsim.run(ps, true, true);
-  const FaultSimResult ser = fsim.run(ps, true, false);
+  const FaultSimResult par = fsim.run(ps, /*parallel=*/true);
+  const FaultSimResult ser = fsim.run(ps, /*parallel=*/false);
   EXPECT_EQ(par.detected, ser.detected);
   EXPECT_EQ(par.earliest, ser.earliest);
 }
