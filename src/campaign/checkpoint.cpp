@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -11,13 +12,14 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/clock.h"
 #include "obs/diag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "reseed/serialize.h"
 #include "util/failpoint.h"
 #include "util/guarded_io.h"
-#include "util/timer.h"
+#include "util/record.h"
+#include "util/rng.h"
 
 namespace fbist::campaign {
 
@@ -25,33 +27,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// FNV-1a 64-bit accumulator (the matrix cache's framing discipline:
-/// every variable-length field is preceded by its length, so moving a
-/// byte between adjacent fields changes the hash).
-struct Hasher {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
-  }
-};
-
 constexpr const char* kSuffix = ".ckpt";
-
-/// Rest-of-line field: everything after "<key> " (may be empty).  Used
-/// for circuit names (paths may contain spaces) and error messages.
-std::string rest_of_line(const std::string& line, const std::string& key) {
-  if (line.size() <= key.size() + 1) return std::string();
-  return line.substr(key.size() + 1);
-}
 
 /// Error messages are one rest-of-line field; fold any embedded
 /// newline (exception text is free-form) into a space on write.
@@ -65,7 +41,7 @@ std::string one_line(std::string s) {
 }  // namespace
 
 std::uint64_t spec_hash(const CampaignSpec& spec) {
-  Hasher hs;
+  util::Fnv1a hs(util::Fnv1a::kShortBasis);
   const std::vector<RunSpec> runs = spec.expand();
   hs.u64(runs.size());
   for (const RunSpec& rs : runs) {
@@ -74,17 +50,14 @@ std::uint64_t spec_hash(const CampaignSpec& spec) {
     hs.u64(rs.cycles);
     hs.str(solver_name(rs.solver));
   }
-  return hs.h;
+  return hs.value();
 }
 
-std::string spec_hash_hex(std::uint64_t h) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
-  return std::string(buf);
-}
+std::string spec_hash_hex(std::uint64_t h) { return util::hex64(h); }
 
-void write_checkpoint(const CheckpointRecord& rec, std::ostream& out) {
+std::string checkpoint_to_string(const CheckpointRecord& rec) {
   const RunResult& r = rec.result;
+  std::ostringstream out;
   out << "fbist-ckpt v2\n";
   out << "spec " << spec_hash_hex(rec.spec) << "\n";
   out << "run " << rec.position << " " << rec.total_runs << "\n";
@@ -107,142 +80,109 @@ void write_checkpoint(const CheckpointRecord& rec, std::ostream& out) {
   char ms[32];
   std::snprintf(ms, sizeof ms, "%.6f", r.wall_ms);
   out << "wall_ms " << ms << "\n";
+  return out.str();
 }
 
-CheckpointRecord read_checkpoint(std::istream& in) {
+CheckpointRecord checkpoint_from_string(const std::string& text) {
+  util::RecordReader in(text, "ckpt");
+  in.header("fbist-ckpt", "v2");
   CheckpointRecord rec;
-  std::string line;
-  std::size_t line_no = 0;
-  bool header_seen = false;
+  RunResult& r = rec.result;
   bool spec_seen = false, run_seen = false, circuit_seen = false;
   bool tpg_seen = false, cycles_seen = false, solver_seen = false;
   int ok = -1;
   bool counts_seen = false, error_seen = false;
 
-  auto fail = [&](const std::string& msg) -> void {
-    throw std::runtime_error("ckpt line " + std::to_string(line_no) + ": " +
-                             msg);
+  // A 0/1 field.
+  const auto flag = [&](const char* what) {
+    const std::uint64_t v = in.count(what);
+    if (v > 1) in.fail(std::string("bad ") + what);
+    return v == 1;
+  };
+  // A TPG or solver name, through the spec's parsers.
+  const auto named = [&](auto parse, const char* what) {
+    const std::string name(in.token(what));
+    try {
+      return parse(name);
+    } catch (const std::runtime_error& e) {
+      in.fail(e.what());
+    }
   };
 
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string key;
-    ss >> key;
-    if (!header_seen) {
-      std::string version;
-      ss >> version;
-      try {
-        reseed::check_version_header(key, version, "fbist-ckpt", "v2");
-      } catch (const std::runtime_error& e) {
-        fail(e.what());
-      }
-      header_seen = true;
-      continue;
-    }
+  while (in.next()) {
+    const std::string_view key = in.key();
     if (key == "spec") {
-      std::string hex;
-      ss >> hex;
-      if (hex.size() != 16 ||
-          hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
-        fail("bad spec hash");
-      }
-      rec.spec = std::stoull(hex, nullptr, 16);
+      rec.spec = in.hex64("spec hash");
       spec_seen = true;
     } else if (key == "run") {
-      ss >> rec.position >> rec.total_runs;
-      if (ss.fail() || rec.total_runs == 0 || rec.position >= rec.total_runs) {
-        fail("bad run position");
+      rec.position = in.count("run position");
+      rec.total_runs = in.count("run count");
+      if (rec.total_runs == 0 || rec.position >= rec.total_runs) {
+        in.fail("bad run position");
       }
       run_seen = true;
     } else if (key == "circuit") {
-      rec.result.spec.circuit = rest_of_line(line, key);
-      if (rec.result.spec.circuit.empty()) fail("empty circuit");
+      r.spec.circuit = in.rest();
+      if (r.spec.circuit.empty()) in.fail("empty circuit");
       circuit_seen = true;
     } else if (key == "tpg") {
-      std::string name;
-      ss >> name;
-      try {
-        rec.result.spec.tpg = parse_tpg_kind(name);
-      } catch (const std::runtime_error& e) {
-        fail(e.what());
-      }
+      r.spec.tpg = named(parse_tpg_kind, "tpg");
       tpg_seen = true;
-    } else if (key == "cycles") {
-      ss >> rec.result.spec.cycles;
-      if (ss.fail() || rec.result.spec.cycles == 0) fail("bad cycles");
-      cycles_seen = true;
     } else if (key == "solver") {
-      std::string name;
-      ss >> name;
-      try {
-        rec.result.spec.solver = parse_solver(name);
-      } catch (const std::runtime_error& e) {
-        fail(e.what());
-      }
+      r.spec.solver = named(parse_solver, "solver");
       solver_seen = true;
+    } else if (key == "cycles") {
+      r.spec.cycles = in.count("cycles");
+      if (r.spec.cycles == 0) in.fail("bad cycles");
+      cycles_seen = true;
     } else if (key == "ok") {
-      ss >> ok;
-      if (ss.fail() || (ok != 0 && ok != 1)) fail("bad ok flag");
-      rec.result.ok = ok == 1;
+      r.ok = flag("ok flag");
+      ok = r.ok ? 1 : 0;
     } else if (key == "error") {
-      if (ok != 0) fail("error record without ok 0");
-      rec.result.error = rest_of_line(line, key);
+      if (ok != 0) in.fail("error record without ok 0");
+      r.error = in.rest();
       error_seen = true;
     } else if (key == "counts") {
-      if (ok != 1) fail("counts record without ok 1");
-      RunResult& r = rec.result;
-      int optimal = 0;
-      ss >> r.circuit_inputs >> r.circuit_gates >> r.atpg_patterns >>
-          r.faults_targeted >> r.redundant >> r.sat_detected >>
-          r.num_triplets >> r.test_length >> r.faults_covered >>
-          r.faults_uncoverable >> r.necessary_triplets >> r.solver_triplets >>
-          optimal >> r.rom_bits;
-      if (ss.fail() || (optimal != 0 && optimal != 1)) fail("bad counts");
-      r.solver_optimal = optimal == 1;
+      if (ok != 1) in.fail("counts record without ok 1");
+      for (std::size_t* field :
+           {&r.circuit_inputs, &r.circuit_gates, &r.atpg_patterns,
+            &r.faults_targeted, &r.redundant, &r.sat_detected,
+            &r.num_triplets, &r.test_length, &r.faults_covered,
+            &r.faults_uncoverable, &r.necessary_triplets,
+            &r.solver_triplets}) {
+        *field = in.count("count");
+      }
+      r.solver_optimal = flag("optimal flag");
+      r.rom_bits = in.count("rom bits");
       counts_seen = true;
     } else if (key == "wall_ms") {
-      ss >> rec.result.wall_ms;
-      if (ss.fail() || rec.result.wall_ms < 0) fail("bad wall_ms");
+      const std::string tok(in.token("wall_ms"));
+      char* end = nullptr;
+      r.wall_ms = std::strtod(tok.c_str(), &end);
+      if (end != tok.c_str() + tok.size() || !std::isfinite(r.wall_ms) ||
+          r.wall_ms < 0) {
+        in.fail("bad wall_ms '" + tok + "'");
+      }
     } else {
-      fail("unknown record '" + key + "'");
+      in.fail("unknown record '" + std::string(key) + "'");
     }
+    in.end();
   }
-  if (!header_seen) throw std::runtime_error("ckpt: empty input");
-  if (!spec_seen || !run_seen) {
-    throw std::runtime_error("ckpt: incomplete header (spec/run)");
-  }
+  if (!spec_seen || !run_seen) in.fail_input("incomplete header (spec/run)");
   if (!circuit_seen || !tpg_seen || !cycles_seen || !solver_seen || ok == -1) {
-    throw std::runtime_error(
-        "ckpt: incomplete run identity (circuit/tpg/cycles/solver/ok)");
+    in.fail_input("incomplete run identity (circuit/tpg/cycles/solver/ok)");
   }
-  if (rec.result.ok && !counts_seen) {
-    throw std::runtime_error("ckpt: ok run without counts record");
-  }
-  if (!rec.result.ok && !error_seen) {
-    throw std::runtime_error("ckpt: failed run without error record");
-  }
+  if (r.ok && !counts_seen) in.fail_input("ok run without counts record");
+  if (!r.ok && !error_seen) in.fail_input("failed run without error record");
   return rec;
-}
-
-std::string checkpoint_to_string(const CheckpointRecord& rec) {
-  std::ostringstream ss;
-  write_checkpoint(rec, ss);
-  return ss.str();
-}
-
-CheckpointRecord checkpoint_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_checkpoint(ss);
 }
 
 namespace {
 
 /// True when `pid` names a live process: kill(pid, 0) probes existence
 /// without signalling (EPERM still means "exists, not ours").
-bool pid_alive(long pid) {
-  if (pid <= 0) return false;
+bool pid_alive(std::uint64_t pid) {
+  if (pid == 0 || pid > static_cast<std::uint64_t>(INT32_MAX)) return false;
   return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
 }
 
@@ -267,18 +207,16 @@ void CheckpointStore::sweep_stale_temps() {
   std::error_code ec;
   fs::directory_iterator it(dir_, ec);
   if (ec) return;
-  const long self = static_cast<long>(::getpid());
+  const auto self = static_cast<std::uint64_t>(::getpid());
   for (const fs::directory_entry& de : it) {
     const std::string name = de.path().filename().string();
     const std::size_t marker = name.find(std::string(kSuffix) + ".tmp.");
     if (marker == std::string::npos) continue;
-    const std::string pid_part =
-        name.substr(marker + std::string(kSuffix).size() + 5);
-    if (pid_part.empty() ||
-        pid_part.find_first_not_of("0123456789") != std::string::npos) {
+    std::uint64_t pid = 0;
+    if (!util::parse_u64(name.substr(marker + std::string(kSuffix).size() + 5),
+                         &pid)) {
       continue;
     }
-    const long pid = std::strtol(pid_part.c_str(), nullptr, 10);
     if (pid == self || pid_alive(pid)) continue;
     if (fs::remove(de.path(), ec) && !ec) ++stale_removed_;
   }
@@ -298,7 +236,7 @@ std::string CheckpointStore::blob_path(std::size_t pos) const {
 void CheckpointStore::write(std::size_t pos, const RunResult& result) {
   OBS_HISTOGRAM(h_write, "checkpoint.write_ns");
   OBS_COUNTER(c_bytes, "checkpoint.bytes");
-  util::Timer timer;
+  const std::uint64_t start_ns = obs::Clock::now_ns();
   if (pos >= runs_.size()) {
     throw std::runtime_error("checkpoint: position " + std::to_string(pos) +
                              " out of range (spec has " +
@@ -333,7 +271,7 @@ void CheckpointStore::write(std::size_t pos, const RunResult& result) {
   }
   breaker_.record_success();
   OBS_COUNT(c_bytes, static_cast<std::uint64_t>(text.size()));
-  OBS_OBSERVE(h_write, timer.nanos());
+  OBS_OBSERVE(h_write, obs::Clock::now_ns() - start_ns);
   OBS_INSTANT("checkpoint_write");
   std::lock_guard<std::mutex> lock(mu_);
   ++written_;

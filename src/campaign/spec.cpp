@@ -6,6 +6,7 @@
 #include "circuits/registry.h"
 #include "netlist/bench_io.h"
 #include "util/guarded_io.h"
+#include "util/record.h"
 
 namespace fbist::campaign {
 
@@ -87,13 +88,28 @@ const char* solver_name(reseed::SolverChoice s) {
   return s == reseed::SolverChoice::kExact ? "exact" : "greedy";
 }
 
-CampaignSpec parse_spec(std::istream& in) {
+CampaignSpec parse_spec_string(const std::string& text) {
   CampaignSpec spec;
   // The defaulted lists are replaced wholesale by the first matching
-  // key; subsequent lines of the same key append.
+  // key; subsequent lines of the same key append.  This loop stays apart
+  // from the record codec (util/record.h): only the spec format has
+  // inline '#' comments.
   bool saw_tpgs = false, saw_cycles = false, saw_solvers = false;
+  std::istringstream in(text);
   std::string line;
   std::size_t lineno = 0;
+  const auto fail = [&](const std::string& msg) -> std::runtime_error {
+    return std::runtime_error("campaign spec line " + std::to_string(lineno) +
+                              ": " + msg);
+  };
+  // A TPG or solver name; an unknown one fails naming the line.
+  const auto named = [&](auto parse, const std::string& tok) {
+    try {
+      return parse(tok);
+    } catch (const std::runtime_error& e) {
+      throw fail(e.what());
+    }
+  };
   while (std::getline(in, line)) {
     ++lineno;
     const auto hash = line.find('#');
@@ -101,29 +117,19 @@ CampaignSpec parse_spec(std::istream& in) {
     std::istringstream ls(line);
     std::string key;
     if (!(ls >> key)) continue;  // blank / comment-only line
-    const auto fail = [&](const std::string& msg) -> std::runtime_error {
-      return std::runtime_error("campaign spec line " +
-                                std::to_string(lineno) + ": " + msg);
-    };
     std::string tok;
     if (key == "circuits" || key == "circuit") {
       while (ls >> tok) spec.circuits.push_back(tok);
     } else if (key == "tpgs" || key == "tpg") {
       if (!saw_tpgs) spec.tpgs.clear();
       saw_tpgs = true;
-      while (ls >> tok) spec.tpgs.push_back(parse_tpg_kind(tok));
+      while (ls >> tok) spec.tpgs.push_back(named(parse_tpg_kind, tok));
     } else if (key == "cycles") {
       if (!saw_cycles) spec.cycle_values.clear();
       saw_cycles = true;
       while (ls >> tok) {
-        std::size_t pos = 0;
-        unsigned long v = 0;
-        try {
-          v = std::stoul(tok, &pos);
-        } catch (const std::exception&) {
-          throw fail("bad cycle count '" + tok + "'");
-        }
-        if (pos != tok.size() || v == 0) {
+        std::uint64_t v = 0;
+        if (!util::parse_u64(tok, &v) || v == 0) {
           throw fail("bad cycle count '" + tok + "'");
         }
         spec.cycle_values.push_back(v);
@@ -131,18 +137,17 @@ CampaignSpec parse_spec(std::istream& in) {
     } else if (key == "solvers" || key == "solver") {
       if (!saw_solvers) spec.solvers.clear();
       saw_solvers = true;
-      while (ls >> tok) spec.solvers.push_back(parse_solver(tok));
+      while (ls >> tok) spec.solvers.push_back(named(parse_solver, tok));
     } else {
       throw fail("unknown key '" + key + "'");
     }
   }
-  spec.validate();
+  try {
+    spec.validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(e.what());  // "campaign spec: ..."
+  }
   return spec;
-}
-
-CampaignSpec parse_spec_string(const std::string& text) {
-  std::istringstream in(text);
-  return parse_spec(in);
 }
 
 CampaignSpec parse_spec_file(const std::string& path) {
@@ -163,21 +168,11 @@ std::pair<std::size_t, std::size_t> parse_shard_arg(const std::string& arg) {
                               "--shard 2/3)");
   };
   const std::size_t slash = arg.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= arg.size()) {
-    throw fail("malformed shard");
-  }
-  const std::string i_part = arg.substr(0, slash);
-  const std::string n_part = arg.substr(slash + 1);
-  if (i_part.find_first_not_of("0123456789") != std::string::npos ||
-      n_part.find_first_not_of("0123456789") != std::string::npos) {
+  if (slash == std::string::npos) throw fail("malformed shard");
+  std::uint64_t i = 0, n = 0;
+  if (!util::parse_u64(arg.substr(0, slash), &i) ||
+      !util::parse_u64(arg.substr(slash + 1), &n)) {
     throw fail("shard index and count must be positive integers");
-  }
-  unsigned long i = 0, n = 0;
-  try {
-    i = std::stoul(i_part);
-    n = std::stoul(n_part);
-  } catch (const std::exception&) {
-    throw fail("shard index or count out of range");
   }
   if (n == 0) throw fail("shard count must be >= 1");
   if (i == 0) throw fail("shard index is 1-based; use 1/N for the first shard");
@@ -194,17 +189,9 @@ std::uint64_t parse_run_timeout_arg(const std::string& arg) {
         "--run-timeout: expected a positive integer millisecond count, got '" +
         arg + "'");
   };
-  if (arg.empty() || arg.find_first_not_of("0123456789") != std::string::npos) {
-    throw fail();  // rejects negatives, junk, and embedded signs
-  }
-  unsigned long long v = 0;
-  try {
-    v = std::stoull(arg);
-  } catch (const std::exception&) {
-    throw fail();
-  }
-  if (v == 0) throw fail();
-  return static_cast<std::uint64_t>(v);
+  std::uint64_t v = 0;
+  if (!util::parse_u64(arg, &v) || v == 0) throw fail();
+  return v;
 }
 
 bool is_bench_path(const std::string& arg) {

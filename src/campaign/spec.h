@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,9 +74,9 @@ tpg::TpgKind parse_tpg_kind(const std::string& name);
 reseed::SolverChoice parse_solver(const std::string& name);
 const char* solver_name(reseed::SolverChoice s);
 
-/// Parses the text format above; throws std::runtime_error with a
-/// line-numbered message on malformed input.
-CampaignSpec parse_spec(std::istream& in);
+/// Parses the text format above; throws std::runtime_error naming the
+/// format ("campaign spec line N: ...", or "campaign spec: ..." for an
+/// empty or degenerate spec) on malformed input.
 CampaignSpec parse_spec_string(const std::string& text);
 /// File variant reads through the guarded I/O layer ("spec.read"
 /// failpoint; transient read failures retry before giving up).

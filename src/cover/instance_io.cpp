@@ -4,80 +4,63 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/record.h"
+
 namespace fbist::cover {
 
-void write_instance(const DetectionMatrix& m, std::ostream& out) {
+std::string instance_to_string(const DetectionMatrix& m) {
+  std::ostringstream out;
   out << "scp " << m.num_rows() << " " << m.num_cols() << "\n";
   for (std::size_t r = 0; r < m.num_rows(); ++r) {
     out << "row";
     m.row(r).for_each_set([&](std::size_t c) { out << ' ' << c; });
     out << "\n";
   }
-}
-
-std::string instance_to_string(const DetectionMatrix& m) {
-  std::ostringstream ss;
-  write_instance(m, ss);
-  return ss.str();
-}
-
-DetectionMatrix read_instance(std::istream& in) {
-  std::string line;
-  std::size_t line_no = 0;
-  auto fail = [&](const std::string& msg) -> void {
-    throw std::runtime_error("scp line " + std::to_string(line_no) + ": " + msg);
-  };
-
-  DetectionMatrix m;
-  std::size_t rows = 0, cols = 0, next_row = 0;
-  bool header_seen = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string key;
-    ss >> key;
-    if (!header_seen) {
-      if (key != "scp") fail("expected 'scp <rows> <cols>' header");
-      ss >> rows >> cols;
-      if (ss.fail()) fail("bad header dimensions");
-      m = DetectionMatrix(rows, cols);
-      header_seen = true;
-      continue;
-    }
-    if (key != "row") fail("expected 'row' record");
-    if (next_row >= rows) fail("more rows than declared");
-    std::size_t c;
-    while (ss >> c) {
-      if (c >= cols) fail("column index out of range");
-      m.set(next_row, c);
-    }
-    if (!ss.eof()) fail("bad column index");
-    ++next_row;
-  }
-  if (!header_seen) throw std::runtime_error("scp: empty input");
-  if (next_row != rows) {
-    throw std::runtime_error("scp: declared " + std::to_string(rows) +
-                             " rows, found " + std::to_string(next_row));
-  }
-  return m;
+  return out.str();
 }
 
 DetectionMatrix instance_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_instance(ss);
+  util::RecordReader in(text, "scp");
+  if (!in.next()) in.fail_input("empty input");
+  if (in.key() != "scp") in.fail("expected 'scp <rows> <cols>' header");
+  const std::uint64_t rows = in.count("row count");
+  const std::uint64_t cols = in.count("column count");
+  in.end();
+  in.check_lines(rows, 4, "rows");  // "row\n"
+  if (rows != 0 && cols > (std::uint64_t{1} << 32) / rows) {
+    in.fail("instance exceeds 2^32 cells");
+  }
+  DetectionMatrix m(rows, cols);
+  std::size_t next_row = 0;
+  while (in.next()) {
+    if (in.key() != "row") in.fail("expected 'row' record");
+    if (next_row >= rows) in.fail("more rows than declared");
+    while (in.more()) {
+      const std::uint64_t c = in.count("column index");
+      if (c >= cols) in.fail("column index out of range");
+      m.set(next_row, c);
+    }
+    ++next_row;
+  }
+  if (next_row != rows) {
+    in.fail_input("declared " + std::to_string(rows) + " rows, found " +
+                  std::to_string(next_row));
+  }
+  return m;
 }
 
 void write_instance_file(const DetectionMatrix& m, const std::string& path) {
   std::ofstream f(path);
   if (!f) throw std::runtime_error("cannot write " + path);
-  write_instance(m, f);
+  f << instance_to_string(m);
 }
 
 DetectionMatrix read_instance_file(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open " + path);
-  return read_instance(f);
+  std::ostringstream text;
+  text << f.rdbuf();
+  return instance_from_string(text.str());
 }
 
 }  // namespace fbist::cover

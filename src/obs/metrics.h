@@ -212,5 +212,7 @@ class Registry {
 #define OBS_COUNTER(var, name)
 #define OBS_HISTOGRAM(var, name)
 #define OBS_COUNT(metric, n) ((void)0)
-#define OBS_OBSERVE(metric, v) ((void)0)
+// `v` stays an unevaluated operand: a start timestamp read only to time
+// an observation is still used, and nothing runs.
+#define OBS_OBSERVE(metric, v) ((void)sizeof(v))
 #endif

@@ -3,17 +3,18 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
 
+#include "obs/clock.h"
 #include "obs/diag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "reseed/serialize.h"
 #include "util/guarded_io.h"
-#include "util/timer.h"
+#include "util/record.h"
+#include "util/rng.h"
 
 namespace fbist::reseed {
 
@@ -21,45 +22,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// FNV-1a 64-bit accumulator.  Every component is framed by a domain
-/// tag and its length, so concatenation ambiguities (e.g. shifting a
-/// byte between adjacent variable-length fields) change the hash.
-struct Hasher {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void byte(std::uint8_t b) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<std::uint8_t>(c));
-  }
-  void tag(char c) { byte(static_cast<std::uint8_t>(c)); }
-};
-
 constexpr const char* kSuffix = ".dmx";
-
-bool parse_key_hex(const std::string& stem, MatrixCache::Key* out) {
-  if (stem.size() != 16) return false;
-  MatrixCache::Key k = 0;
-  for (const char c : stem) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    k = (k << 4) | static_cast<MatrixCache::Key>(digit);
-  }
-  *out = k;
-  return true;
-}
 
 }  // namespace
 
@@ -78,11 +41,14 @@ MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
                                   const fault::FaultList& faults,
                                   const tpg::Tpg& tpg,
                                   const std::vector<tpg::Triplet>& candidates) {
-  Hasher hs;
+  // Every component is framed by a domain tag and its length, so
+  // concatenation ambiguities (e.g. shifting a byte between adjacent
+  // variable-length fields) change the hash.
+  util::Fnv1a hs(util::Fnv1a::kShortBasis);
 
   // Circuit structure: per-net gate type and fanin in net-id order,
   // plus the PI/PO orderings the simulator reads and observes through.
-  hs.tag('C');
+  hs.byte('C');
   hs.u64(cc.num_nets());
   for (netlist::NetId n = 0; n < cc.num_nets(); ++n) {
     hs.byte(static_cast<std::uint8_t>(cc.type(n)));
@@ -96,7 +62,7 @@ MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
   for (const netlist::NetId n : cc.outputs()) hs.u64(n);
 
   // Fault list: matrix columns, in column order.
-  hs.tag('F');
+  hs.byte('F');
   hs.u64(faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     hs.u64(faults[i].net);
@@ -104,13 +70,13 @@ MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
   }
 
   // TPG semantics: how triplets expand into pattern sequences.
-  hs.tag('T');
+  hs.byte('T');
   hs.str(tpg.name());
   hs.u64(tpg.width());
   hs.str(tpg.config_string());
 
   // Candidate triplets: matrix rows, in row order.
-  hs.tag('R');
+  hs.byte('R');
   hs.u64(candidates.size());
   for (const tpg::Triplet& t : candidates) {
     hs.u64(t.delta.bits());
@@ -119,7 +85,7 @@ MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
     for (const std::uint64_t w : t.sigma.words()) hs.u64(w);
     hs.u64(t.cycles);
   }
-  return hs.h;
+  return hs.value();
 }
 
 std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
@@ -130,14 +96,14 @@ std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
   OBS_HISTOGRAM(h_hit, "matrix_cache.hit_ns");
   OBS_HISTOGRAM(h_disk_hit, "matrix_cache.disk_hit_ns");
   OBS_HISTOGRAM(h_miss, "matrix_cache.miss_ns");
-  util::Timer timer;
+  const std::uint64_t start_ns = obs::Clock::now_ns();
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(k);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);  // touch
       ++stats_.hits;
-      OBS_OBSERVE(h_hit, timer.nanos());
+      OBS_OBSERVE(h_hit, obs::Clock::now_ns() - start_ns);
       return it->second->matrix;
     }
   }
@@ -172,7 +138,7 @@ std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
           ++stats_.hits;
           ++stats_.disk_hits;
           OBS_INSTANT("disk_hit");
-          OBS_OBSERVE(h_disk_hit, timer.nanos());
+          OBS_OBSERVE(h_disk_hit, obs::Clock::now_ns() - start_ns);
           const auto it = index_.find(k);  // raced promotion: reuse theirs
           if (it != index_.end()) {
             lru_.splice(lru_.begin(), lru_, it->second);
@@ -200,14 +166,14 @@ std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.misses;
-  OBS_OBSERVE(h_miss, timer.nanos());
+  OBS_OBSERVE(h_miss, obs::Clock::now_ns() - start_ns);
   return nullptr;
 }
 
 void MatrixCache::store(Key k, std::shared_ptr<const cover::DetectionMatrix> m) {
   if (m == nullptr) return;
   OBS_HISTOGRAM(h_store, "matrix_cache.store_ns");
-  util::Timer timer;
+  const std::uint64_t start_ns = obs::Clock::now_ns();
   bool write_disk = !opts_.dir.empty();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -229,7 +195,7 @@ void MatrixCache::store(Key k, std::shared_ptr<const cover::DetectionMatrix> m) 
     }
   }
   if (!write_disk || !disk_breaker_.allowed()) {
-    OBS_OBSERVE(h_store, timer.nanos());
+    OBS_OBSERVE(h_store, obs::Clock::now_ns() - start_ns);
     return;
   }
   // Guarded atomic write ("cache.disk_write"): temp-then-rename keeps
@@ -252,7 +218,7 @@ void MatrixCache::store(Key k, std::shared_ptr<const cover::DetectionMatrix> m) 
               "cannot persist blob " + final_path + " (" + e.what() +
                   "), memory tier only");
   }
-  OBS_OBSERVE(h_store, timer.nanos());
+  OBS_OBSERVE(h_store, obs::Clock::now_ns() - start_ns);
 }
 
 MatrixCacheStats MatrixCache::stats() const {
@@ -270,7 +236,7 @@ std::vector<MatrixCache::DiskEntry> MatrixCache::list_dir(
     const fs::path& p = de.path();
     if (p.extension() != kSuffix) continue;
     Key k;
-    if (!parse_key_hex(p.stem().string(), &k)) continue;
+    if (!util::parse_hex64(p.stem().string(), &k)) continue;
     DiskEntry e;
     e.key = k;
     e.path = p.string();
@@ -297,11 +263,7 @@ std::size_t MatrixCache::clear_dir(const std::string& dir) {
   return removed;
 }
 
-std::string MatrixCache::key_hex(Key k) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(k));
-  return std::string(buf);
-}
+std::string MatrixCache::key_hex(Key k) { return util::hex64(k); }
 
 std::string MatrixCache::disk_path(Key k) const {
   return (fs::path(opts_.dir) / (key_hex(k) + kSuffix)).string();

@@ -1,24 +1,13 @@
 #include "reseed/serialize.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-namespace fbist::reseed {
+#include "util/record.h"
 
-void check_version_header(const std::string& key, const std::string& version,
-                          const char* magic, const char* want_version) {
-  if (key != magic) {
-    throw std::runtime_error(std::string(magic) + ": expected '" + magic + " " +
-                             want_version + "' header, found '" + key + "'");
-  }
-  if (version != want_version) {
-    throw std::runtime_error(std::string(magic) + ": unsupported version '" +
-                             version + "' (this build reads '" + want_version +
-                             "'); rebuild or evict the blob");
-  }
-}
+namespace fbist::reseed {
 
 std::size_t RomImage::test_length() const {
   std::size_t n = 0;
@@ -31,18 +20,8 @@ std::size_t RomImage::rom_bits() const {
 }
 
 bool RomImage::operator==(const RomImage& o) const {
-  if (circuit != o.circuit || tpg_name != o.tpg_name || width != o.width ||
-      triplets.size() != o.triplets.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < triplets.size(); ++i) {
-    if (!(triplets[i].delta == o.triplets[i].delta) ||
-        !(triplets[i].sigma == o.triplets[i].sigma) ||
-        triplets[i].cycles != o.triplets[i].cycles) {
-      return false;
-    }
-  }
-  return true;
+  return circuit == o.circuit && tpg_name == o.tpg_name && width == o.width &&
+         triplets == o.triplets;
 }
 
 RomImage to_rom_image(const ReseedingSolution& sol, const std::string& circuit,
@@ -56,7 +35,8 @@ RomImage to_rom_image(const ReseedingSolution& sol, const std::string& circuit,
   return rom;
 }
 
-void write_rom(const RomImage& rom, std::ostream& out) {
+std::string rom_to_string(const RomImage& rom) {
+  std::ostringstream out;
   out << "fbist-rom v1\n";
   out << "circuit " << rom.circuit << "\n";
   out << "tpg " << rom.tpg_name << "\n";
@@ -67,108 +47,92 @@ void write_rom(const RomImage& rom, std::ostream& out) {
     out << "triplet " << t.delta.to_hex() << " " << t.sigma.to_hex() << " "
         << t.cycles << "\n";
   }
+  return out.str();
 }
 
-RomImage read_rom(std::istream& in) {
-  RomImage rom;
-  std::string line;
-  std::size_t line_no = 0;
-  bool header_seen = false;
+namespace {
 
-  auto fail = [&](const std::string& msg) -> void {
-    throw std::runtime_error("rom line " + std::to_string(line_no) + ": " + msg);
-  };
-
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string key;
-    ss >> key;
-    if (!header_seen) {
-      std::string version;
-      ss >> version;
-      try {
-        check_version_header(key, version, "fbist-rom", "v1");
-      } catch (const std::runtime_error& e) {
-        fail(e.what());
-      }
-      header_seen = true;
-      continue;
-    }
-    if (key == "circuit") {
-      ss >> rom.circuit;
-    } else if (key == "tpg") {
-      ss >> rom.tpg_name;
-    } else if (key == "width") {
-      ss >> rom.width;
-      if (ss.fail() || rom.width == 0) fail("bad width");
-    } else if (key == "triplet") {
-      if (rom.width == 0) fail("triplet before width");
-      std::string delta_hex, sigma_hex;
-      std::size_t cycles = 0;
-      ss >> delta_hex >> sigma_hex >> cycles;
-      if (ss.fail() || cycles == 0) fail("bad triplet record");
-      tpg::Triplet t;
-      try {
-        t.delta = util::WideWord::from_hex(rom.width, delta_hex);
-        t.sigma = util::WideWord::from_hex(rom.width, sigma_hex);
-      } catch (const std::invalid_argument& e) {
-        fail(e.what());
-      }
-      t.cycles = cycles;
-      rom.triplets.push_back(std::move(t));
-    } else {
-      fail("unknown record '" + key + "'");
-    }
+/// One triplet register word: exactly ceil(width / 4) hex digits, the
+/// form WideWord::to_hex writes, so the allocation is bounded by the
+/// line that holds the digits.
+util::WideWord read_word(util::RecordReader& in, std::size_t width,
+                         const char* what) {
+  const std::string_view hex = in.token(what);
+  const std::size_t digits = width / 4 + (width % 4 != 0 ? 1 : 0);
+  if (hex.size() != digits) {
+    in.fail(std::string(what) + " must be " + std::to_string(digits) +
+            " hex digits, got '" + std::string(hex) + "'");
   }
-  if (!header_seen) throw std::runtime_error("rom: empty input");
-  if (rom.circuit.empty() || rom.tpg_name.empty() || rom.width == 0) {
-    throw std::runtime_error("rom: incomplete header (circuit/tpg/width)");
+  try {
+    return util::WideWord::from_hex(width, std::string(hex));
+  } catch (const std::invalid_argument& e) {
+    in.fail(e.what());
   }
-  return rom;
 }
 
-std::string rom_to_string(const RomImage& rom) {
-  std::ostringstream ss;
-  write_rom(rom, ss);
-  return ss.str();
-}
+}  // namespace
 
 RomImage rom_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_rom(ss);
+  util::RecordReader in(text, "rom");
+  in.header("fbist-rom", "v1");
+  RomImage rom;
+  while (in.next()) {
+    const std::string_view key = in.key();
+    if (key == "circuit") {
+      rom.circuit = in.rest();
+    } else if (key == "tpg") {
+      rom.tpg_name = std::string(in.token("tpg name"));
+    } else if (key == "width") {
+      rom.width = in.count("width");
+      if (rom.width == 0) in.fail("bad width");
+    } else if (key == "triplet") {
+      if (rom.width == 0) in.fail("triplet before width");
+      tpg::Triplet t;
+      t.delta = read_word(in, rom.width, "delta");
+      t.sigma = read_word(in, rom.width, "sigma");
+      t.cycles = in.count("triplet cycles");
+      if (t.cycles == 0) in.fail("bad triplet record: zero cycles");
+      rom.triplets.push_back(std::move(t));
+    } else {
+      in.fail("unknown record '" + std::string(key) + "'");
+    }
+    in.end();
+  }
+  if (rom.circuit.empty() || rom.tpg_name.empty() || rom.width == 0) {
+    in.fail_input("incomplete header (circuit/tpg/width)");
+  }
+  return rom;
 }
 
 void write_rom_file(const RomImage& rom, const std::string& path) {
   std::ofstream f(path);
   if (!f) throw std::runtime_error("cannot write " + path);
-  write_rom(rom, f);
+  f << rom_to_string(rom);
 }
 
 RomImage read_rom_file(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open " + path);
-  return read_rom(f);
+  std::ostringstream text;
+  text << f.rdbuf();
+  return rom_from_string(text.str());
 }
 
-void write_matrix(const cover::DetectionMatrix& m, std::ostream& out) {
+std::string matrix_to_string(const cover::DetectionMatrix& m) {
   const std::size_t rows = m.num_rows();
   const std::size_t cols = m.num_cols();
+  std::ostringstream out;
   out << "fbist-dmx v1\n";
   out << "dims " << rows << " " << cols << "\n";
   out << "has-earliest " << (m.has_earliest() ? 1 : 0) << "\n";
-  char hex[17];
   for (std::size_t r = 0; r < rows; ++r) {
     out << "row " << r;
     for (const util::BitVector::Word w : m.row(r).words()) {
-      std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(w));
-      out << " " << hex;
+      out << " " << util::hex64(w);
     }
     out << "\n";
   }
-  if (!m.has_earliest()) return;
+  if (!m.has_earliest()) return out.str();
   // Earliest indices are sparse in practice (only detected pairs carry
   // one), so each row stores its (col, index) pairs, not the full C
   // vector.  Detected bits and earliest entries coincide by
@@ -186,131 +150,76 @@ void write_matrix(const cover::DetectionMatrix& m, std::ostream& out) {
     }
     out << "\n";
   }
+  return out.str();
 }
 
-cover::DetectionMatrix read_matrix(std::istream& in) {
-  std::string line;
-  std::size_t line_no = 0;
-
-  auto fail = [&](const std::string& msg) -> void {
-    throw std::runtime_error("dmx line " + std::to_string(line_no) + ": " + msg);
-  };
-
-  bool header_seen = false;
+cover::DetectionMatrix matrix_from_string(const std::string& text) {
+  util::RecordReader in(text, "dmx");
+  in.header("fbist-dmx", "v1");
   bool dims_seen = false;
   int has_earliest = -1;
   std::size_t rows = 0, cols = 0, row_words = 0;
   cover::DetectionMatrix m;
   std::vector<std::vector<std::uint32_t>> earliest;
 
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string key;
-    ss >> key;
-    if (!header_seen) {
-      std::string version;
-      ss >> version;
-      try {
-        check_version_header(key, version, "fbist-dmx", "v1");
-      } catch (const std::runtime_error& e) {
-        fail(e.what());
-      }
-      header_seen = true;
-      continue;
-    }
+  while (in.next()) {
+    const std::string_view key = in.key();
     if (key == "dims") {
-      ss >> rows >> cols;
-      if (ss.fail()) fail("bad dims");
+      if (dims_seen) in.fail("duplicate dims");
+      rows = in.count("row count");
+      cols = in.count("column count");
+      row_words = cols / 64 + (cols % 64 != 0 ? 1 : 0);
+      // Every row needs its own line holding "row" and 17 bytes (" "
+      // plus 16 digits) per 64 columns.  Clamping the word count to the
+      // input size keeps the product from overflowing and still fails
+      // any count the text cannot hold.
+      const std::uint64_t words =
+          std::min<std::uint64_t>(row_words, text.size());
+      in.check_lines(rows, 4 + 17 * words, "rows");
       m = cover::DetectionMatrix(rows, cols);
-      row_words = (cols + 63) / 64;
       dims_seen = true;
     } else if (key == "has-earliest") {
-      ss >> has_earliest;
-      if (ss.fail() || (has_earliest != 0 && has_earliest != 1)) {
-        fail("bad has-earliest flag");
-      }
-      if (!dims_seen) fail("has-earliest before dims");
-      if (has_earliest == 1) {
+      const std::uint64_t flag = in.count("has-earliest flag");
+      if (flag > 1) in.fail("bad has-earliest flag");
+      if (!dims_seen) in.fail("has-earliest before dims");
+      has_earliest = static_cast<int>(flag);
+      if (has_earliest == 1 && rows != 0) {
         earliest.assign(rows, std::vector<std::uint32_t>(cols, UINT32_MAX));
       }
     } else if (key == "row") {
-      if (!dims_seen) fail("row before dims");
-      std::size_t r = 0;
-      ss >> r;
-      if (ss.fail() || r >= rows) fail("bad row index");
+      if (!dims_seen) in.fail("row before dims");
+      const std::uint64_t r = in.count("row index");
+      if (r >= rows) in.fail("bad row index");
       for (std::size_t w = 0; w < row_words; ++w) {
-        std::string hex;
-        ss >> hex;
-        if (ss.fail() || hex.size() != 16) fail("bad row word");
-        util::BitVector::Word word = 0;
-        for (const char ch : hex) {
-          int digit;
-          if (ch >= '0' && ch <= '9') {
-            digit = ch - '0';
-          } else if (ch >= 'a' && ch <= 'f') {
-            digit = ch - 'a' + 10;
-          } else {
-            fail("bad hex digit in row word");
-            digit = 0;  // unreachable
-          }
-          word = (word << 4) | static_cast<util::BitVector::Word>(digit);
-        }
-        util::BitVector::Word bits = word;
+        util::BitVector::Word bits = in.hex64("row word");
         while (bits != 0) {
           const int b = __builtin_ctzll(bits);
           const std::size_t c = w * 64 + static_cast<std::size_t>(b);
-          if (c >= cols) fail("row bit beyond cols");
+          if (c >= cols) in.fail("row bit beyond cols");
           m.set(r, c);
           bits &= bits - 1;
         }
       }
     } else if (key == "edet") {
-      if (has_earliest != 1) fail("edet record without has-earliest 1");
-      std::size_t r = 0, k = 0;
-      ss >> r >> k;
-      if (ss.fail() || r >= rows) fail("bad edet header");
-      for (std::size_t i = 0; i < k; ++i) {
-        std::size_t c = 0;
-        std::uint32_t e = 0;
-        ss >> c >> e;
-        if (ss.fail() || c >= cols) fail("bad edet pair");
-        earliest[r][c] = e;
+      if (has_earliest != 1) in.fail("edet record without has-earliest 1");
+      const std::uint64_t r = in.count("edet row");
+      const std::uint64_t k = in.count("edet pair count");
+      if (r >= rows) in.fail("bad edet header");
+      for (std::uint64_t i = 0; i < k; ++i) {
+        const std::uint64_t c = in.count("edet column");
+        const std::uint64_t e = in.count("earliest index");
+        if (c >= cols || e > UINT32_MAX) in.fail("bad edet pair");
+        earliest[r][c] = static_cast<std::uint32_t>(e);
       }
     } else {
-      fail("unknown record '" + key + "'");
+      in.fail("unknown record '" + std::string(key) + "'");
     }
+    in.end();
   }
-  if (!header_seen) throw std::runtime_error("dmx: empty input");
-  if (!dims_seen) throw std::runtime_error("dmx: missing dims");
-  if (has_earliest == -1) throw std::runtime_error("dmx: missing has-earliest");
+  if (!dims_seen) in.fail_input("missing dims");
+  if (has_earliest == -1) in.fail_input("missing has-earliest");
   if (has_earliest == 1) m.attach_earliest(std::move(earliest));
   return m;
-}
-
-std::string matrix_to_string(const cover::DetectionMatrix& m) {
-  std::ostringstream ss;
-  write_matrix(m, ss);
-  return ss.str();
-}
-
-cover::DetectionMatrix matrix_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_matrix(ss);
-}
-
-void write_matrix_file(const cover::DetectionMatrix& m,
-                       const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  write_matrix(m, f);
-}
-
-cover::DetectionMatrix read_matrix_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open " + path);
-  return read_matrix(f);
 }
 
 }  // namespace fbist::reseed

@@ -13,8 +13,6 @@
 //   triplet <delta-hex> <sigma-hex> <cycles>
 //   triplet ...
 //
-// Lines starting with '#' are comments; fields are space-separated.
-//
 // The same layer persists built detection matrices ("fbist-dmx v1"),
 // which back the cross-run matrix cache (reseed/matrix_cache.h):
 //
@@ -24,13 +22,13 @@
 //   row <r> <16-hex-digit word>...     one line per row, LSB-first words
 //   edet <r> <k> <col> <idx> ...       k detected (col, earliest) pairs
 //
-// Both formats carry an explicit version in the header line; readers
-// reject a blob whose magic matches but whose version does not with a
-// message naming both versions, so stale on-disk cache files fail
-// loudly instead of being misparsed.
+// Both formats are read by the shared record codec (util/record.h):
+// '#' comment lines, space-separated fields, no trailing fields, and a
+// versioned header — a blob whose magic matches but whose version does
+// not fails with a message naming both versions, so stale on-disk cache
+// files fail loudly instead of being misparsed.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -39,15 +37,6 @@
 #include "tpg/triplet.h"
 
 namespace fbist::reseed {
-
-/// Validates a "<magic> <version>" header line, distinguishing "not one
-/// of our files at all" from "ours, but a version this build does not
-/// read" — the latter is what a stale on-disk blob looks like after a
-/// format bump, and it must fail with a message naming both versions.
-/// Shared by every versioned text format in the repo (fbist-rom,
-/// fbist-dmx, and the campaign layer's fbist-ckpt run-result records).
-void check_version_header(const std::string& key, const std::string& version,
-                          const char* magic, const char* want_version);
 
 /// Everything needed to replay a reseeding solution on hardware.
 struct RomImage {
@@ -68,12 +57,10 @@ struct RomImage {
 RomImage to_rom_image(const ReseedingSolution& sol, const std::string& circuit,
                       const std::string& tpg_name, std::size_t width);
 
-/// Serialization.  write_rom always succeeds on a good stream; read_rom
-/// throws std::runtime_error with a line-numbered message on malformed
-/// input.
-void write_rom(const RomImage& rom, std::ostream& out);
-RomImage read_rom(std::istream& in);
-
+/// Serialization.  Readers throw std::runtime_error with a
+/// line-numbered message on malformed input.  The circuit field runs to
+/// the end of its line (paths may contain spaces); every triplet word
+/// has exactly ceil(width / 4) hex digits.
 std::string rom_to_string(const RomImage& rom);
 RomImage rom_from_string(const std::string& text);
 
@@ -82,17 +69,10 @@ RomImage read_rom_file(const std::string& path);
 
 /// Detection-matrix persistence ("fbist-dmx v1").  Round-trips the bits
 /// and, when attached, the earliest-detection indices exactly;
-/// read_matrix throws std::runtime_error with a line-numbered message
-/// on malformed input and a version-naming message on a future-version
-/// blob.
-void write_matrix(const cover::DetectionMatrix& m, std::ostream& out);
-cover::DetectionMatrix read_matrix(std::istream& in);
-
+/// matrix_from_string throws std::runtime_error with a line-numbered
+/// message on malformed input and a version-naming message on a
+/// future-version blob.
 std::string matrix_to_string(const cover::DetectionMatrix& m);
 cover::DetectionMatrix matrix_from_string(const std::string& text);
-
-void write_matrix_file(const cover::DetectionMatrix& m,
-                       const std::string& path);
-cover::DetectionMatrix read_matrix_file(const std::string& path);
 
 }  // namespace fbist::reseed

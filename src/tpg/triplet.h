@@ -24,6 +24,9 @@ struct Triplet {
   std::size_t cycles = 0;  // T: number of patterns produced
 
   std::string to_string() const;
+  bool operator==(const Triplet& o) const {
+    return delta == o.delta && sigma == o.sigma && cycles == o.cycles;
+  }
 };
 
 /// Expands `t` on `tpg` into its test set (t.cycles patterns, width =

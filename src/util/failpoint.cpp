@@ -9,6 +9,8 @@
 
 #include "obs/diag.h"
 #include "obs/metrics.h"
+#include "util/record.h"
+#include "util/rng.h"
 
 namespace fbist::util::failpoint {
 
@@ -40,29 +42,16 @@ SiteRegistry& registry() {
   return *r;
 }
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Deterministic firing decision for evaluation ordinal n at a site:
 // depends only on (seed, site name, n), never on time or threads.
 bool decides_to_fire(const Site& s, const std::string& name,
                      std::uint64_t n) {
   if (s.p >= 1.0) return true;
   if (s.p <= 0.0) return false;
-  const std::uint64_t h = splitmix64(s.seed ^ fnv1a(name) ^ (n * 0x9e3779b97f4a7c15ull));
+  Fnv1a site(Fnv1a::kShortBasis);
+  site.bytes(name);
+  std::uint64_t state = s.seed ^ site.value() ^ (n * 0x9e3779b97f4a7c15ull);
+  const std::uint64_t h = splitmix64(state);
   return static_cast<double>(h) <
          s.p * 18446744073709551616.0;  // p * 2^64
 }
@@ -112,20 +101,12 @@ double parse_double(const std::string& tok, const std::string& pair) {
   }
 }
 
-std::uint64_t parse_u64(const std::string& tok, const std::string& pair) {
-  if (tok.empty() || tok[0] == '-') {
+std::uint64_t parse_count(const std::string& tok, const std::string& pair) {
+  std::uint64_t v = 0;
+  if (!util::parse_u64(tok, &v)) {
     bad_spec("expected a non-negative integer, got '" + tok + "' in '" + pair + "'");
   }
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(tok, &pos);
-    if (pos != tok.size()) bad_spec("trailing junk in number '" + tok + "' in '" + pair + "'");
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_spec("expected a non-negative integer, got '" + tok + "' in '" + pair + "'");
-  } catch (const std::out_of_range&) {
-    bad_spec("number '" + tok + "' out of range in '" + pair + "'");
-  }
+  return v;
 }
 
 // Parses "name(arg[,arg...])" → (name, args).  "off" has no parens.
@@ -156,16 +137,16 @@ std::unique_ptr<Site> parse_action(const std::string& action,
     if (site->p < 0.0 || site->p > 1.0) {
       bad_spec("probability " + args[0] + " outside [0,1] in '" + pair + "'");
     }
-    if (args.size() >= 2) site->seed = parse_u64(args[1], pair);
-    if (args.size() >= 3) site->max = parse_u64(args[2], pair);
+    if (args.size() >= 2) site->seed = parse_count(args[1], pair);
+    if (args.size() >= 3) site->max = parse_count(args[2], pair);
   } else if (name == "delay") {
     if (args.empty() || args.size() > 2) {
       bad_spec("'delay' takes (ms[,max]) in '" + pair + "'");
     }
     site->kind = Kind::kDelay;
     site->p = 1.0;
-    site->delay_ms = parse_u64(args[0], pair);
-    if (args.size() >= 2) site->max = parse_u64(args[1], pair);
+    site->delay_ms = parse_count(args[0], pair);
+    if (args.size() >= 2) site->max = parse_count(args[1], pair);
   } else {
     bad_spec("unknown action '" + name + "' in '" + pair + "'");
   }

@@ -109,6 +109,35 @@ TEST(Checkpoint, ReadRejectsMalformedRecords) {
                std::runtime_error);
 }
 
+// Counts are strict unsigned decimals: "run 3 -1" and "cycles -4" must
+// not wrap to 2^64-1 and read as valid.
+TEST(Checkpoint, ReadRejectsSignedCountsAndTrailingFields) {
+  const std::string ok_blob =
+      "fbist-ckpt v2\nspec 0000000000000001\nrun 3 12\ncircuit c17\n"
+      "tpg adder\ncycles 4\nsolver exact\nok 1\n"
+      "counts 5 6 7 8 0 0 1 4 8 0 1 0 1 72\nwall_ms 1.000000\n";
+  ASSERT_NO_THROW(checkpoint_from_string(ok_blob));
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string blob = ok_blob;
+    blob.replace(blob.find(from), from.size(), to);
+    return blob;
+  };
+  for (const std::string& bad :
+       {with("run 3 12", "run 3 -1"), with("cycles 4", "cycles -4"),
+        with("run 3 12", "run 3 12 7"), with("ok 1", "ok 1 1"),
+        with("wall_ms 1.000000", "wall_ms nan"),
+        with("wall_ms 1.000000", "wall_ms 1.0x"),
+        with("spec 0000000000000001", "spec 000000000000001G"),
+        with("counts 5", "counts -5")}) {
+    try {
+      checkpoint_from_string(bad);
+      FAIL() << "accepted: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("ckpt", 0), 0u) << e.what();
+    }
+  }
+}
+
 TEST(Checkpoint, ResumeIsByteIdenticalAndSkipsAllCompletedRuns) {
   const std::string dir = scratch_dir("resume");
   Scheduler sched(2);

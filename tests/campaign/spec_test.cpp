@@ -85,8 +85,31 @@ TEST(CampaignSpec, ParseErrorsCarryLineNumbers) {
                std::runtime_error);
   EXPECT_THROW(parse_spec_string("circuits c17\ncycles 0\n"),
                std::runtime_error);
-  EXPECT_THROW(parse_spec_string(""), std::invalid_argument);  // no circuits
+  // No circuits: the decoder names the format in a runtime_error, like
+  // every other malformed spec (validate() itself throws invalid_argument).
+  EXPECT_THROW(parse_spec_string(""), std::runtime_error);
   EXPECT_THROW(parse_spec_file("/nonexistent/spec.txt"), std::runtime_error);
+}
+
+// Cycle counts are strict unsigned decimals, as on the command line:
+// "-1" must not wrap to 2^64-1.  Every error names the format.
+TEST(CampaignSpec, RejectsSignedCyclesAndNamesTheFormatInEveryError) {
+  for (const char* text :
+       {"circuits c17\ncycles -1\n", "circuits c17\ncycles +4\n",
+        "circuits c17\ncycles 18446744073709551616\n",
+        "circuits c17\ntpgs marsaglia\n", "circuits c17\nsolvers lingo\n",
+        "tpgs adder\n"}) {
+    try {
+      parse_spec_string(text);
+      FAIL() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("campaign spec", 0), 0u)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse_spec_string("circuits c17\ncycles 18446744073709551615\n")
+                .cycle_values,
+            (std::vector<std::size_t>{18446744073709551615ull}));
 }
 
 TEST(CampaignSpec, TpgAndSolverNamesRoundTrip) {

@@ -58,6 +58,25 @@ TEST(InstanceIo, RejectsMalformed) {
   EXPECT_THROW(instance_from_string("scp 1 2\nrow x\n"), std::runtime_error);
 }
 
+// Declared sizes are checked against the text before the matrix is
+// allocated, so a corrupt header fails by name, never as
+// std::length_error or std::bad_alloc.
+TEST(InstanceIo, RejectsCountsTheTextCannotBack) {
+  for (const char* text :
+       {"scp -1 2\nrow 0\n", "scp 2 -1\nrow\nrow\n",
+        "scp 18446744073709551615 2\nrow 0\n",
+        "scp 1000000 2\nrow 0\n",
+        "scp 2 18446744073709551615\nrow\nrow\n",
+        "scp 1 2 3\nrow 0\n"}) {
+    try {
+      instance_from_string(text);
+      FAIL() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("scp", 0), 0u) << e.what();
+    }
+  }
+}
+
 TEST(InstanceIo, SolverAgreesAcrossRoundTrip) {
   util::Rng rng(9);
   auto m = random_matrix(rng, 8, 12);

@@ -198,6 +198,35 @@ TEST(MatrixCache, CorruptOrFutureVersionDiskFilesMiss) {
   fs::remove_all(dir);
 }
 
+// A blob whose declared dims the text cannot back is a content error
+// like any other corrupt blob: lookup misses and the rebuild overwrites
+// it, rather than an escaping std::length_error failing the run.
+TEST(MatrixCache, BlobWithImpossibleDimsMisses) {
+  const std::string dir = ::testing::TempDir() + "fbist_mc_dims";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::vector<std::string> blobs = {
+      "fbist-dmx v1\ndims -1 3\nhas-earliest 0\n",
+      "fbist-dmx v1\ndims 18446744073709551615 3\nhas-earliest 0\n",
+      "fbist-dmx v1\ndims 4000000000 3\nhas-earliest 1\n",
+      "fbist-dmx v1\ndims 1 4000000000000\nhas-earliest 0\nrow 0 0\n",
+  };
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    std::ofstream f(dir + "/" + MatrixCache::key_hex(i) + ".dmx");
+    f << blobs[i];
+  }
+  MatrixCacheOptions opts;
+  opts.dir = dir;
+  MatrixCache cache(opts);
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    EXPECT_EQ(cache.lookup(i), nullptr) << blobs[i];
+  }
+  EXPECT_EQ(cache.stats().misses, blobs.size());
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_FALSE(cache.disk_degraded());
+  fs::remove_all(dir);
+}
+
 // End to end: a cached build must equal a fresh build exactly — matrix
 // bits, earliest indices, triplets and uncovered columns — and the hit
 // must skip the simulator (observable through the stats).

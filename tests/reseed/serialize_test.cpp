@@ -4,6 +4,7 @@
 
 #include "reseed/pipeline.h"
 #include "tpg/triplet.h"
+#include "util/guarded_io.h"
 #include "util/rng.h"
 
 namespace fbist::reseed {
@@ -73,6 +74,41 @@ TEST(Serialize, RejectsMalformedRecords) {
   EXPECT_THROW(rom_from_string(head + "triplet ff 01 0\n"), std::runtime_error);
   EXPECT_THROW(rom_from_string(head + "bogus record\n"), std::runtime_error);
   EXPECT_THROW(rom_from_string("fbist-rom v1\nwidth 0\n"), std::runtime_error);
+  // Counts are strict unsigned decimals: "-1" must not wrap to 2^64-1.
+  EXPECT_THROW(rom_from_string(head + "triplet ff 01 -1\n"),
+               std::runtime_error);
+  EXPECT_THROW(rom_from_string(head + "triplet ff 01 +3\n"),
+               std::runtime_error);
+  EXPECT_THROW(rom_from_string("fbist-rom v1\nwidth -8\n"),
+               std::runtime_error);
+  // No trailing fields.
+  EXPECT_THROW(rom_from_string(head + "triplet ff 01 5 9\n"),
+               std::runtime_error);
+  EXPECT_THROW(rom_from_string("fbist-rom v1 extra\n"), std::runtime_error);
+}
+
+// A circuit path may contain spaces; the field runs to the end of the
+// line, as the checkpoint format's does.
+TEST(Serialize, CircuitWithSpacesRoundTrips) {
+  RomImage rom = sample_rom();
+  rom.circuit = "my dir/c.bench";
+  const RomImage back = rom_from_string(rom_to_string(rom));
+  EXPECT_EQ(back.circuit, "my dir/c.bench");
+  EXPECT_EQ(back, rom);
+}
+
+// Triplet words carry exactly ceil(width / 4) digits, as to_hex writes
+// them: a wider word is an error, not a silent truncation.
+TEST(Serialize, RejectsWordsOfTheWrongWidth) {
+  const std::string head = "fbist-rom v1\ncircuit x\ntpg adder\nwidth 4\n";
+  EXPECT_THROW(rom_from_string(head + "triplet fff 1 5\n"),
+               std::runtime_error);
+  EXPECT_THROW(rom_from_string(head + "triplet f 01 5\n"),
+               std::runtime_error);
+  EXPECT_NO_THROW(rom_from_string(head + "triplet f 1 5\n"));
+  EXPECT_THROW(rom_from_string("fbist-rom v1\ncircuit x\ntpg adder\n"
+                               "width 18446744073709551615\ntriplet f 1 5\n"),
+               std::runtime_error);
 }
 
 TEST(Serialize, RejectsIncompleteHeader) {
@@ -160,8 +196,10 @@ TEST(MatrixSerialize, RoundTripEmptyAndDense) {
 TEST(MatrixSerialize, RoundTripThroughFile) {
   const auto m = sample_matrix(5, 100, /*with_earliest=*/true, 9);
   const std::string path = ::testing::TempDir() + "fbist_dmx_roundtrip.dmx";
-  write_matrix_file(m, path);
-  expect_matrices_equal(m, read_matrix_file(path));
+  // The matrix cache's disk path: guarded atomic write, guarded read.
+  util::io::write_file_atomic("cache.disk_write", path, matrix_to_string(m));
+  expect_matrices_equal(
+      m, matrix_from_string(util::io::read_file("cache.disk_read", path)));
   std::remove(path.c_str());
 }
 
@@ -174,6 +212,33 @@ TEST(MatrixSerialize, RejectsBadInput) {
   EXPECT_THROW(
       matrix_from_string("fbist-dmx v1\ndims 1 4\nhas-earliest 0\nrow 5 0\n"),
       std::runtime_error);  // row index out of range
+}
+
+// Every row needs its own line and every 64 columns need 17 bytes on
+// it, so declared dims are bounded by the blob before any allocation.
+TEST(MatrixSerialize, RejectsDimsTheTextCannotBack) {
+  for (const char* text : {
+           "fbist-dmx v1\ndims -1 3\nhas-earliest 0\n",
+           "fbist-dmx v1\ndims 3 -1\nhas-earliest 0\n",
+           "fbist-dmx v1\ndims 2 3\nhas-earliest 0\nrow 0 0000000000000001\n"
+           "dims 9 9\n",
+           "fbist-dmx v1\ndims 2 640\nhas-earliest 0\n"
+           "row 0 0000000000000001\nrow 1 0000000000000001\n",
+           "fbist-dmx v1\ndims 1 3\nhas-earliest 1\nrow 0 0000000000000001\n"
+           "edet 0 1 0 4294967296\n",
+       }) {
+    try {
+      matrix_from_string(text);
+      FAIL() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("dmx", 0), 0u) << e.what();
+    }
+  }
+  // A zero-row matrix may declare any column count: nothing is sized
+  // from it.
+  const auto m = matrix_from_string(
+      "fbist-dmx v1\ndims 0 18446744073709551615\nhas-earliest 1\n");
+  EXPECT_EQ(m.num_rows(), 0u);
 }
 
 TEST(MatrixSerialize, VersionMismatchNamesBothVersions) {

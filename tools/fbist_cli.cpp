@@ -100,6 +100,7 @@
 #include "reseed/tradeoff.h"
 #include "util/failpoint.h"
 #include "util/guarded_io.h"
+#include "util/record.h"
 #include "util/table.h"
 
 namespace {
@@ -141,17 +142,10 @@ tpg::TpgKind parse_tpg(const std::string& name) {
   return campaign::parse_tpg_kind(name);
 }
 
-/// Strict positive-count parser: rejects signs, trailing junk and 0
-/// (std::stoul alone accepts "16junk" and wraps "-1" to 2^64-1).
+/// Strict positive count: no sign, no trailing junk, not 0.
 std::size_t parse_count(const std::string& tok, const char* what) {
-  std::size_t pos = 0;
-  unsigned long v = 0;
-  try {
-    v = std::stoul(tok, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (tok.empty() || tok[0] == '-' || pos != tok.size() || v == 0) {
+  std::uint64_t v = 0;
+  if (!util::parse_u64(tok, &v) || v == 0) {
     throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
   }
   return v;
@@ -303,7 +297,7 @@ int cmd_matrix(const std::string& arg, const Flags& f) {
   const auto [init, sol] = p.run_detailed(parse_tpg(f.tpg), f.cycles);
   (void)sol;
   if (f.out.empty()) {
-    cover::write_instance(init.matrix, std::cout);
+    std::cout << cover::instance_to_string(init.matrix);
   } else {
     cover::write_instance_file(init.matrix, f.out);
     std::cout << "detection matrix (" << init.matrix.num_rows() << "x"
@@ -523,12 +517,10 @@ int cmd_cache(const std::vector<std::string>& args) {
   if (action == "evict") {
     if (args.size() < 5) return usage();
     const std::string& hex = args[4];
-    if (hex.size() != 16 ||
-        hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    reseed::MatrixCache::Key key = 0;
+    if (!util::parse_hex64(hex, &key)) {
       throw std::runtime_error("cache evict: key must be 16 lowercase hex digits");
     }
-    const auto key = static_cast<reseed::MatrixCache::Key>(
-        std::stoull(hex, nullptr, 16));
     if (!reseed::MatrixCache::evict_file(dir, key)) {
       throw std::runtime_error("cache evict: no entry " + hex + " in " + dir);
     }
@@ -555,10 +547,12 @@ int cmd_failpoints() {
 int cmd_gen(const std::vector<std::string>& args) {
   if (args.size() < 6) return usage();
   circuits::GeneratorSpec spec;
-  spec.num_inputs = std::stoul(args[2]);
-  spec.num_outputs = std::stoul(args[3]);
-  spec.num_gates = std::stoul(args[4]);
-  spec.seed = std::stoull(args[5]);
+  spec.num_inputs = parse_count(args[2], "gen inputs");
+  spec.num_outputs = parse_count(args[3], "gen outputs");
+  spec.num_gates = parse_count(args[4], "gen gates");
+  if (!util::parse_u64(args[5], &spec.seed)) {
+    throw std::runtime_error("gen seed: bad value '" + args[5] + "'");
+  }
   spec.layers = 8 + spec.num_gates / 150;
   netlist::write_bench(circuits::generate(spec), std::cout);
   return 0;
