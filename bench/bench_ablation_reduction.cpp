@@ -28,7 +28,8 @@ int main() {
   for (const auto& name : circuits) {
     std::cout << "[ablation-reduction] " << name << " ..." << std::flush;
     reseed::Pipeline pipe(name);
-    const auto [init, base_sol] = pipe.run_detailed(tpg::TpgKind::kAdder, cycles);
+    const auto init = pipe.build(tpg::TpgKind::kAdder, cycles);
+    const auto base_sol = reseed::optimize(init, pipe.options().optimizer);
     (void)base_sol;
 
     reseed::OptimizerOptions with, without;

@@ -24,7 +24,8 @@ int main() {
   for (const auto& name : circuits) {
     std::cout << "[ablation-solver] " << name << " ..." << std::flush;
     reseed::Pipeline pipe(name);
-    const auto [init, probe] = pipe.run_detailed(tpg::TpgKind::kAdder, cycles);
+    const auto init = pipe.build(tpg::TpgKind::kAdder, cycles);
+    const auto probe = reseed::optimize(init, pipe.options().optimizer);
 
     reseed::OptimizerOptions ex, gr;
     ex.solver = reseed::SolverChoice::kExact;

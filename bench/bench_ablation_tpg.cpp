@@ -31,7 +31,7 @@ int main() {
     reseed::Pipeline pipe(name);
     std::vector<std::string> row = {name};
     for (const auto kind : kinds) {
-      const auto sol = pipe.run(kind, cycles);
+      const auto sol = pipe.run({kind, cycles});
       row.push_back(std::to_string(sol.num_triplets()));
     }
     // Shared-sigma policy on the adder.

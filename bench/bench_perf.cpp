@@ -227,7 +227,7 @@ BENCHMARK(BM_CampaignSweep)
 void BM_CampaignSharedPipeline(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   campaign::Scheduler::global().set_workers(jobs);
-  const auto prepared = reseed::Pipeline::prepare("c880");
+  const auto prepared = std::make_shared<const reseed::Pipeline>("c880");
   const std::vector<tpg::TpgKind> kinds = {
       tpg::TpgKind::kAdder, tpg::TpgKind::kSubtracter,
       tpg::TpgKind::kMultiplier, tpg::TpgKind::kLfsr};
@@ -236,7 +236,7 @@ void BM_CampaignSharedPipeline(benchmark::State& state) {
     std::vector<reseed::ReseedingSolution> sols(kinds.size());
     for (std::size_t i = 0; i < kinds.size(); ++i) {
       group.run([&prepared, &sols, &kinds, i] {
-        sols[i] = prepared->run(kinds[i], 32);
+        sols[i] = prepared->run({kinds[i], 32});
       });
     }
     group.wait();

@@ -39,7 +39,7 @@ int main() {
     const auto weighted =
         baseline::run_weighted_random(fsim, pipe.atpg_patterns(), wopts);
 
-    const auto sol = pipe.run(tpg::TpgKind::kAdder, cycles);
+    const auto sol = pipe.run({tpg::TpgKind::kAdder, cycles});
     const double reseed_fc =
         100.0 * static_cast<double>(sol.faults_covered) /
         static_cast<double>(sol.faults_targeted + sol.faults_uncoverable);

@@ -40,7 +40,7 @@ int main() {
 
     std::vector<std::string> row = {name};
     for (const auto kind : kinds) {
-      const auto sol = pipe.run(kind, cycles);
+      const auto sol = pipe.run({kind, cycles});
       row.push_back(std::to_string(sol.num_triplets()));
       row.push_back(std::to_string(sol.test_length));
     }

@@ -39,7 +39,8 @@ int main() {
     bool first = true;
     for (const auto& [kind, label] : kinds) {
       (void)label;
-      const auto [init, sol] = pipe.run_detailed(kind, cycles);
+      const auto init = pipe.build(kind, cycles);
+      const auto sol = reseed::optimize(init, pipe.options().optimizer);
       if (first) {
         row.insert(row.begin() + 1,
                    std::to_string(sol.initial_rows) + "x" +

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
             << "ATPG test set: " << pipeline.atpg_patterns().size()
             << " patterns\n\n";
 
-  const auto sol = pipeline.run(kind, cycles);
+  const auto sol = pipeline.run({kind, cycles});
   std::cout << reseed::solution_to_string(
       sol, "Reseeding solution (" + tpg_name + " TPG, T=" +
                std::to_string(cycles) + "):");

@@ -23,7 +23,7 @@ int main() {
 
   // Compute an optimal reseeding for an adder-based accumulator TPG,
   // letting each candidate triplet evolve for 16 clock cycles.
-  const reseed::ReseedingSolution sol = pipeline.run(tpg::TpgKind::kAdder, 16);
+  const reseed::ReseedingSolution sol = pipeline.run({tpg::TpgKind::kAdder, 16});
 
   std::cout << reseed::solution_to_string(sol, "Optimal reseeding (adder TPG):");
   std::cout << "\nEvery targeted fault is covered: "

@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
             << "TPG: " << tpg_name << "-based accumulator, width "
             << nl.num_inputs() << " bits, T=" << cycles << " cycles\n\n";
 
-  const auto [init, sol] = pipeline.run_detailed(kind, cycles);
+  const auto init = pipeline.build(kind, cycles);
+  const auto sol = reseed::optimize(init, pipeline.options().optimizer);
 
   std::cout << "Detection matrix: " << sol.initial_rows << " candidate triplets x "
             << sol.initial_cols << " faults\n"

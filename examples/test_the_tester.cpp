@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   std::cout << "target faults: " << pipeline.faults().size()
             << ", ATPG patterns: " << pipeline.atpg_patterns().size() << "\n";
 
-  const auto sol = pipeline.run(tpg::TpgKind::kAdder, 64);
+  const auto sol = pipeline.run({tpg::TpgKind::kAdder, 64});
   std::cout << reseed::solution_to_string(
       sol, "\nReseedings of M1 that test M2 completely:");
   std::cout << "\nBIST plan: load each (delta, sigma) into the accumulator,"

@@ -49,8 +49,8 @@ void execute_run(const CircuitCtx& ctx, RunResult& out,
     reseed::OptimizerOptions oopt = p.options().optimizer;
     oopt.solver = out.spec.solver;
     const reseed::ReseedingSolution sol =
-        p.run(out.spec.tpg, out.spec.cycles, oopt,
-              deadline.armed() ? &deadline : nullptr);
+        p.run({out.spec.tpg, out.spec.cycles, oopt,
+               deadline.armed() ? &deadline : nullptr});
 
     out.circuit_inputs = p.circuit().num_inputs();
     out.circuit_gates = p.circuit().num_gates();
@@ -212,8 +212,8 @@ Report run_campaign(const CampaignSpec& spec, const CampaignOptions& opts,
                timeout_ms] {
       try {
         OBS_SPAN("prepare", ctx.name);
-        ctx.prepared = reseed::Pipeline::prepare(load_circuit(ctx.name),
-                                                 ctx.name, popts);
+        ctx.prepared = std::make_shared<const reseed::Pipeline>(
+            load_circuit(ctx.name), ctx.name, popts);
       } catch (const std::exception& e) {
         ctx.error = e.what();
       } catch (...) {

@@ -28,9 +28,7 @@ struct PendingGate {
   std::size_t line_no;
 };
 
-}  // namespace
-
-Netlist parse_bench(std::istream& in) {
+Netlist parse_netlist(std::istream& in) {
   std::vector<std::string> input_names;
   std::vector<std::string> output_names;
   std::vector<PendingGate> pending;
@@ -174,6 +172,20 @@ Netlist parse_bench(std::istream& in) {
   }
   nl.validate();
   return nl;
+}
+
+}  // namespace
+
+Netlist parse_bench(std::istream& in) {
+  // Errors the Netlist itself raises while the file is assembled
+  // (duplicate names, an OUTPUT naming no net, no outputs at all) get
+  // the format's name too.  Only the throw path pays for the wrapper.
+  try {
+    return parse_netlist(in);
+  } catch (const std::runtime_error& e) {
+    if (std::string(e.what()).rfind(".bench", 0) == 0) throw;
+    throw std::runtime_error(std::string(".bench: ") + e.what());
+  }
 }
 
 Netlist parse_bench_string(const std::string& text) {

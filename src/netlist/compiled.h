@@ -21,9 +21,9 @@
 // reseed::Pipeline compiles once per circuit and shares the result
 // across ATPG, fault simulation, and every TPG/T evaluation.
 //
-// The legacy walkers (levelize.h, cone.h) remain as the reference
-// implementations; equivalence tests in tests/netlist/compiled_test.cpp
-// pin this compiler to them.
+// The legacy walkers (netlist/cone.h, and the levelize oracle in
+// tests/support/) remain as the reference implementations; equivalence
+// tests in tests/netlist/compiled_test.cpp pin this compiler to them.
 #pragma once
 
 #include <cstddef>

@@ -20,16 +20,6 @@ Pipeline::Pipeline(netlist::Netlist nl, std::string name, PipelineOptions opts)
   init();
 }
 
-PreparedCircuit Pipeline::prepare(const std::string& circuit_name,
-                                  PipelineOptions opts) {
-  return std::make_shared<const Pipeline>(circuit_name, opts);
-}
-
-PreparedCircuit Pipeline::prepare(netlist::Netlist nl, std::string name,
-                                  PipelineOptions opts) {
-  return std::make_shared<const Pipeline>(std::move(nl), std::move(name), opts);
-}
-
 void Pipeline::init() {
   OBS_HISTOGRAM(h_compile, "pipeline.compile_ns");
   OBS_HISTOGRAM(h_collapse, "pipeline.collapse_ns");
@@ -78,48 +68,34 @@ void Pipeline::init() {
   fsim_ = std::make_unique<sim::FaultSim>(nl_, faults_, compiled_);
 }
 
-std::pair<InitialReseeding, ReseedingSolution> Pipeline::run_detailed(
-    tpg::TpgKind kind, std::size_t cycles,
-    const OptimizerOptions& optimizer,
-    const util::Deadline* deadline) const {
+InitialReseeding Pipeline::build(tpg::TpgKind kind, std::size_t cycles,
+                                 const util::Deadline* deadline) const {
   OBS_HISTOGRAM(h_build, "pipeline.matrix_build_ns");
-  OBS_HISTOGRAM(h_solve, "pipeline.cover_solve_ns");
   if (deadline != nullptr) deadline->check("pipeline");
   const auto tpg = tpg::make_tpg(kind, nl_.num_inputs());
   BuilderOptions b = opts_.builder;
   if (cycles != 0) b.cycles_per_triplet = cycles;
   b.seed ^= util::hash_string(name_) ^ static_cast<std::uint64_t>(kind);
-  InitialReseeding initial;
-  {
-    OBS_SPAN("matrix_build", name_);
-    const std::uint64_t t0 = obs::Clock::now_ns();
-    initial = build_initial_reseeding(*fsim_, *tpg, atpg_.patterns, b,
-                                      opts_.matrix_cache.get(), deadline);
-    OBS_OBSERVE(h_build, obs::Clock::now_ns() - t0);
-  }
-  ReseedingSolution sol;
-  {
-    OBS_SPAN("cover_solve", name_);
-    const std::uint64_t t0 = obs::Clock::now_ns();
-    sol = optimize(initial, optimizer, deadline);
-    OBS_OBSERVE(h_solve, obs::Clock::now_ns() - t0);
-  }
-  return {std::move(initial), std::move(sol)};
+  OBS_SPAN("matrix_build", name_);
+  const std::uint64_t t0 = obs::Clock::now_ns();
+  InitialReseeding initial =
+      build_initial_reseeding(*fsim_, *tpg, atpg_.patterns, b,
+                              opts_.matrix_cache.get(), deadline);
+  OBS_OBSERVE(h_build, obs::Clock::now_ns() - t0);
+  return initial;
 }
 
-std::pair<InitialReseeding, ReseedingSolution> Pipeline::run_detailed(
-    tpg::TpgKind kind, std::size_t cycles) const {
-  return run_detailed(kind, cycles, opts_.optimizer);
-}
-
-ReseedingSolution Pipeline::run(tpg::TpgKind kind, std::size_t cycles,
-                                const OptimizerOptions& optimizer,
-                                const util::Deadline* deadline) const {
-  return run_detailed(kind, cycles, optimizer, deadline).second;
-}
-
-ReseedingSolution Pipeline::run(tpg::TpgKind kind, std::size_t cycles) const {
-  return run_detailed(kind, cycles, opts_.optimizer).second;
+ReseedingSolution Pipeline::run(const RunRequest& request) const {
+  OBS_HISTOGRAM(h_solve, "pipeline.cover_solve_ns");
+  const InitialReseeding initial =
+      build(request.tpg, request.cycles, request.deadline);
+  OBS_SPAN("cover_solve", name_);
+  const std::uint64_t t0 = obs::Clock::now_ns();
+  ReseedingSolution sol =
+      optimize(initial, request.optimizer.value_or(opts_.optimizer),
+               request.deadline);
+  OBS_OBSERVE(h_solve, obs::Clock::now_ns() - t0);
+  return sol;
 }
 
 }  // namespace fbist::reseed

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "atpg/engine.h"
@@ -42,13 +43,39 @@ struct PipelineOptions {
   std::shared_ptr<MatrixCache> matrix_cache;
 };
 
+/// One run of the pipeline: a TPG kind, its per-triplet evolution
+/// length, and optional per-run overrides.
+struct RunRequest {
+  RunRequest(tpg::TpgKind tpg, std::size_t cycles = 0,
+             std::optional<OptimizerOptions> optimizer = std::nullopt,
+             const util::Deadline* deadline = nullptr)
+      : tpg(tpg), cycles(cycles), optimizer(optimizer), deadline(deadline) {}
+
+  tpg::TpgKind tpg;
+  /// Overrides BuilderOptions::cycles_per_triplet when != 0.
+  std::size_t cycles;
+  /// Per-run optimizer options (campaigns cross solver choices without
+  /// re-preparing the circuit); unset uses PipelineOptions::optimizer.
+  std::optional<OptimizerOptions> optimizer;
+  /// Polled cooperatively through the builder, optimizer and exact
+  /// solver when armed; expiry throws util::TimeoutError (the campaign
+  /// runner turns it into a canonical timeout failure).
+  const util::Deadline* deadline;
+};
+
 /// Per-circuit context reusable across TPGs.
 ///
-/// All run entry points are const: once constructed, a Pipeline is an
-/// immutable "prepared circuit" — netlist, compiled form, collapsed
-/// fault list and ATPG test set — safe to share across threads.  The
-/// campaign layer prepares each circuit once (see prepare()) and fans
-/// N runs out over the shared snapshot.
+/// Construction prepares the circuit: netlist, compiled form, collapsed
+/// fault list and ATPG test set.  After that the object is immutable and
+/// safe to share across threads (campaigns hold it as a PreparedCircuit
+/// and fan N runs out over it).  The two stages of the paper's Figure 1
+/// are the two entry points:
+///   build()  the Initial Reseeding Builder — fills the detection matrix
+///            (through the matrix cache when one is installed);
+///   run()    build() followed by the set-covering optimizer — the final
+///            reseeding solution.
+/// Callers that want the matrix and the solution call build() and then
+/// reseed::optimize(initial, options().optimizer).
 class Pipeline {
  public:
   /// Builds the context for a registry circuit (see circuits/registry.h).
@@ -56,35 +83,13 @@ class Pipeline {
   /// Builds the context for an arbitrary netlist.
   Pipeline(netlist::Netlist nl, std::string name, PipelineOptions opts = {});
 
-  /// Shareable const handle: N campaign runs (TPG kinds x T values x
-  /// solvers) reuse one compile + ATPG through it.
-  static std::shared_ptr<const Pipeline> prepare(
-      const std::string& circuit_name, PipelineOptions opts = {});
-  static std::shared_ptr<const Pipeline> prepare(netlist::Netlist nl,
-                                                 std::string name,
-                                                 PipelineOptions opts = {});
+  /// Initial Reseeding Builder for one TPG kind; `cycles` != 0 overrides
+  /// the per-triplet evolution length.
+  InitialReseeding build(tpg::TpgKind kind, std::size_t cycles = 0,
+                         const util::Deadline* deadline = nullptr) const;
 
-  /// Runs Initial Reseeding Builder + optimizer for one TPG kind.
-  /// Overrides the per-triplet evolution length when `cycles` != 0.
-  ReseedingSolution run(tpg::TpgKind kind, std::size_t cycles = 0) const;
-
-  /// Like run(), but with per-run optimizer options (campaigns cross
-  /// solver choices without re-preparing the circuit).  An armed
-  /// `deadline` is polled cooperatively through the builder, optimizer,
-  /// and exact solver; expiry throws util::TimeoutError (the campaign
-  /// runner turns it into a canonical timeout failure).
-  ReseedingSolution run(tpg::TpgKind kind, std::size_t cycles,
-                        const OptimizerOptions& optimizer,
-                        const util::Deadline* deadline = nullptr) const;
-
-  /// Like run(), but also returns the initial reseeding (for benches
-  /// that inspect the matrix itself).
-  std::pair<InitialReseeding, ReseedingSolution> run_detailed(
-      tpg::TpgKind kind, std::size_t cycles = 0) const;
-  std::pair<InitialReseeding, ReseedingSolution> run_detailed(
-      tpg::TpgKind kind, std::size_t cycles,
-      const OptimizerOptions& optimizer,
-      const util::Deadline* deadline = nullptr) const;
+  /// build() + optimize(): the final reseeding solution of one run.
+  ReseedingSolution run(const RunRequest& request) const;
 
   const std::string& name() const { return name_; }
   const netlist::Netlist& circuit() const { return nl_; }
@@ -107,7 +112,8 @@ class Pipeline {
   atpg::AtpgResult atpg_;
 };
 
-/// The shareable prepared-circuit handle campaigns pass around.
+/// The shareable prepared-circuit handle campaigns pass around; make
+/// one with std::make_shared<const Pipeline>(...).
 using PreparedCircuit = std::shared_ptr<const Pipeline>;
 
 }  // namespace fbist::reseed

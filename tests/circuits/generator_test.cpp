@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/bench_io.h"
-#include "netlist/levelize.h"
+#include "support/levelize.h"
 
 namespace fbist::circuits {
 namespace {

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "circuits/generator.h"
 #include "circuits/registry.h"
-#include "netlist/levelize.h"
+#include "support/levelize.h"
 
 namespace fbist::fault {
 namespace {
@@ -27,6 +28,34 @@ TEST(FaultList, FullListSkipsDeadLogic) {
   EXPECT_EQ(fl.size(), 6u);
   for (const auto& f : fl.faults()) {
     EXPECT_NE(f.net, nl.find("dead"));
+  }
+}
+
+// The full list's order is part of every fault index downstream:
+// ascending net id, stuck-at-0 before stuck-at-1, over exactly the nets
+// the reference walker finds reaching an output.
+TEST(FaultList, FullListOrderMatchesReferenceReachability) {
+  circuits::GeneratorSpec spec;
+  spec.num_inputs = 8;
+  spec.num_outputs = 3;
+  spec.num_gates = 60;
+  spec.seed = 5;
+  netlist::Netlist dead_logic;
+  const auto a = dead_logic.add_input("a");
+  const auto b = dead_logic.add_input("b");
+  dead_logic.add_gate(netlist::GateType::kOr, "dead", {a, b});
+  dead_logic.mark_output(
+      dead_logic.add_gate(netlist::GateType::kAnd, "keep", {a, b}));
+  for (const auto& nl :
+       {circuits::make_c17(), circuits::generate(spec), dead_logic}) {
+    const auto reach = netlist::reaches_output(nl);
+    std::vector<Fault> want;
+    for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+      if (!reach[n]) continue;
+      want.push_back(Fault{n, false});
+      want.push_back(Fault{n, true});
+    }
+    EXPECT_EQ(FaultList::full(nl).faults(), want);
   }
 }
 

@@ -29,7 +29,8 @@ TEST_P(ConformanceTest, AtpgCoversItsTargetList) {
 
 TEST_P(ConformanceTest, SolutionFeasibleMinimalAndVerifiable) {
   auto& p = pipeline();
-  const auto [init, sol] = p.run_detailed(tpg::TpgKind::kAdder, 32);
+  const auto init = p.build(tpg::TpgKind::kAdder, 32);
+  const auto sol = reseed::optimize(init, p.options().optimizer);
   // Feasible + minimal in the paper's sense.
   EXPECT_EQ(sol.faults_covered, sol.faults_targeted);
   EXPECT_TRUE(reseed::solution_is_minimal(init, sol));
@@ -47,7 +48,7 @@ TEST_P(ConformanceTest, SolutionFeasibleMinimalAndVerifiable) {
 
 TEST_P(ConformanceTest, RomRoundTripIsLossless) {
   auto& p = pipeline();
-  const auto sol = p.run(tpg::TpgKind::kSubtracter, 32);
+  const auto sol = p.run({tpg::TpgKind::kSubtracter, 32});
   const auto rom = reseed::to_rom_image(sol, GetParam(), "subtracter",
                                         p.circuit().num_inputs());
   EXPECT_EQ(reseed::rom_from_string(reseed::rom_to_string(rom)), rom);
@@ -55,7 +56,7 @@ TEST_P(ConformanceTest, RomRoundTripIsLossless) {
 
 TEST_P(ConformanceTest, SolutionNoLargerThanAtpgTestSet) {
   auto& p = pipeline();
-  const auto sol = p.run(tpg::TpgKind::kAdder, 32);
+  const auto sol = p.run({tpg::TpgKind::kAdder, 32});
   EXPECT_LE(sol.num_triplets(), p.atpg_patterns().size());
 }
 

@@ -1,5 +1,6 @@
 // Seeded mutation test over the text decoders: fbist-rom, fbist-dmx,
-// fbist-ckpt, scp, the campaign spec and the FBIST_FAILPOINTS grammar.
+// fbist-ckpt, scp, .bench netlists, the campaign spec and the
+// FBIST_FAILPOINTS grammar.
 //
 // A deterministic mutator (no libFuzzer: the toolchain is g++ only)
 // derives a few hundred mutants from one valid blob per format — byte
@@ -18,6 +19,7 @@
 #include "campaign/checkpoint.h"
 #include "campaign/spec.h"
 #include "cover/instance_io.h"
+#include "netlist/bench_io.h"
 #include "reseed/serialize.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -225,6 +227,30 @@ TEST(DecoderMutation, ScpMutantsParseOrFailByName) {
   const int parsed =
       fuzz("scp", cover::instance_to_string(sample_matrix(false)),
            [](const std::string& t) { cover::instance_from_string(t); }, 6);
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kMutantsPerFormat);
+}
+
+TEST(DecoderMutation, BenchMutantsParseOrFailByName) {
+  // Scan flip-flops, a three-input gate and a unary gate, declared out
+  // of order, so mutants reach every resolution path.
+  const std::string bench =
+      "# sample\n"
+      "INPUT(a)\n"
+      "INPUT(b)\n"
+      "INPUT(c)\n"
+      "OUTPUT(y)\n"
+      "OUTPUT(z)\n"
+      "y = AND(g2, g3)\n"
+      "g1 = NAND(a, b)\n"
+      "g2 = XOR(g1, q0)\n"
+      "g3 = NOR(g2, c, q1)\n"
+      "q0 = DFF(g2)\n"
+      "q1 = DFF(g3)\n"
+      "z = NOT(g1)\n";
+  const int parsed = fuzz(
+      ".bench", bench,
+      [](const std::string& t) { netlist::parse_bench_string(t); }, 9);
   EXPECT_GT(parsed, 0);
   EXPECT_LT(parsed, kMutantsPerFormat);
 }

@@ -15,7 +15,7 @@ namespace {
 TEST(EndToEnd, TrimmedSolutionDetectsAllTargetFaultsOnHardware) {
   const reseed::Pipeline p("s420");
   const auto tpg = tpg::make_tpg(tpg::TpgKind::kAdder, p.circuit().num_inputs());
-  const reseed::ReseedingSolution sol = p.run(tpg::TpgKind::kAdder, 32);
+  const reseed::ReseedingSolution sol = p.run({tpg::TpgKind::kAdder, 32});
 
   sim::PatternSet all(p.circuit().num_inputs(), 0);
   for (const auto& st : sol.selected) {
@@ -32,7 +32,8 @@ TEST(EndToEnd, TrimmedSolutionDetectsAllTargetFaultsOnHardware) {
 // fewer.
 TEST(EndToEnd, SolutionSmallerThanInitialReseeding) {
   const reseed::Pipeline p("c432");
-  const auto [init, sol] = p.run_detailed(tpg::TpgKind::kAdder, 64);
+  const auto init = p.build(tpg::TpgKind::kAdder, 64);
+  const auto sol = reseed::optimize(init, p.options().optimizer);
   EXPECT_LT(sol.num_triplets(), init.triplets.size());
 }
 
@@ -41,8 +42,8 @@ TEST(EndToEnd, SolutionSmallerThanInitialReseeding) {
 TEST(EndToEnd, FullPipelineDeterministic) {
   const reseed::Pipeline a("s420");
   const reseed::Pipeline b("s420");
-  const auto sa = a.run(tpg::TpgKind::kMultiplier, 32);
-  const auto sb = b.run(tpg::TpgKind::kMultiplier, 32);
+  const auto sa = a.run({tpg::TpgKind::kMultiplier, 32});
+  const auto sb = b.run({tpg::TpgKind::kMultiplier, 32});
   EXPECT_EQ(sa.num_triplets(), sb.num_triplets());
   EXPECT_EQ(sa.test_length, sb.test_length);
   for (std::size_t i = 0; i < sa.selected.size(); ++i) {
@@ -55,7 +56,7 @@ class TpgSweepTest : public ::testing::TestWithParam<tpg::TpgKind> {};
 
 TEST_P(TpgSweepTest, FullCoverageSolution) {
   const reseed::Pipeline p("s641");
-  const auto sol = p.run(GetParam(), 32);
+  const auto sol = p.run({GetParam(), 32});
   EXPECT_EQ(sol.faults_covered, sol.faults_targeted)
       << tpg::tpg_kind_name(GetParam());
   EXPECT_GT(sol.num_triplets(), 0u);

@@ -10,7 +10,7 @@
 #include "cover/reduce.h"
 #include "fault/collapse.h"
 #include "netlist/bench_io.h"
-#include "netlist/levelize.h"
+#include "support/levelize.h"
 #include "sim/fault_sim.h"
 
 namespace fbist {

@@ -14,7 +14,7 @@ namespace {
 TEST(PaperClaims, SetCoverBeatsOrMatchesGatsby) {
   const reseed::Pipeline p("s420");
   const std::size_t cycles = 32;
-  const auto sol = p.run(tpg::TpgKind::kAdder, cycles);
+  const auto sol = p.run({tpg::TpgKind::kAdder, cycles});
 
   const auto tpg = tpg::make_tpg(tpg::TpgKind::kAdder, p.circuit().num_inputs());
   baseline::GatsbyOptions gopts;
@@ -53,7 +53,8 @@ TEST(PaperClaims, FaultSimBudgetMuchSmallerThanGatsby) {
 // empty), which is what makes the exact solve tractable.
 TEST(PaperClaims, ReductionShrinksMatrixDramatically) {
   const reseed::Pipeline p("s641");
-  const auto [init, sol] = p.run_detailed(tpg::TpgKind::kAdder, 32);
+  const auto init = p.build(tpg::TpgKind::kAdder, 32);
+  const auto sol = reseed::optimize(init, p.options().optimizer);
   const double initial_cells =
       static_cast<double>(sol.initial_rows) * static_cast<double>(sol.initial_cols);
   const double residual_cells =
@@ -89,7 +90,7 @@ TEST(PaperClaims, BothSolutionShapesOccur) {
   bool saw_solver_contribution = false;
   for (const char* name : {"c17", "c432", "s420", "s820"}) {
     const reseed::Pipeline p(name);
-    const auto sol = p.run(tpg::TpgKind::kAdder, 32);
+    const auto sol = p.run({tpg::TpgKind::kAdder, 32});
     if (sol.solver_count == 0 && sol.necessary_count > 0) {
       saw_necessary_only = true;
     }

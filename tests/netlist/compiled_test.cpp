@@ -9,7 +9,7 @@
 #include "circuits/registry.h"
 #include "netlist/bench_io.h"
 #include "netlist/cone.h"
-#include "netlist/levelize.h"
+#include "support/levelize.h"
 
 namespace fbist::netlist {
 namespace {

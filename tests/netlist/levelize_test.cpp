@@ -1,4 +1,4 @@
-#include "netlist/levelize.h"
+#include "support/levelize.h"
 
 #include <gtest/gtest.h>
 

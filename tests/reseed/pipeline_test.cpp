@@ -23,14 +23,15 @@ TEST(Pipeline, TargetFaultsAllDetectedByAtpg) {
 
 TEST(Pipeline, RunProducesFeasibleSolution) {
   const Pipeline p("c17");
-  const ReseedingSolution sol = p.run(tpg::TpgKind::kAdder, 16);
+  const ReseedingSolution sol = p.run({tpg::TpgKind::kAdder, 16});
   EXPECT_GT(sol.num_triplets(), 0u);
   EXPECT_EQ(sol.faults_covered, sol.faults_targeted);
 }
 
 TEST(Pipeline, RunDetailedExposesMatrix) {
   const Pipeline p("c17");
-  const auto [init, sol] = p.run_detailed(tpg::TpgKind::kAdder, 8);
+  const auto init = p.build(tpg::TpgKind::kAdder, 8);
+  const auto sol = optimize(init, p.options().optimizer);
   EXPECT_EQ(init.matrix.num_rows(), p.atpg_patterns().size());
   EXPECT_LE(sol.num_triplets(), init.triplets.size());
 }
@@ -39,7 +40,7 @@ TEST(Pipeline, DifferentTpgsBothWork) {
   const Pipeline p("c17");
   for (const auto kind : {tpg::TpgKind::kAdder, tpg::TpgKind::kSubtracter,
                           tpg::TpgKind::kMultiplier, tpg::TpgKind::kLfsr}) {
-    const ReseedingSolution sol = p.run(kind, 16);
+    const ReseedingSolution sol = p.run({kind, 16});
     EXPECT_EQ(sol.faults_covered, sol.faults_targeted)
         << tpg::tpg_kind_name(kind);
   }
@@ -47,16 +48,15 @@ TEST(Pipeline, DifferentTpgsBothWork) {
 
 TEST(Pipeline, CyclesOverrideRespected) {
   const Pipeline p("c17");
-  const auto [init8, sol8] = p.run_detailed(tpg::TpgKind::kAdder, 8);
+  const auto init8 = p.build(tpg::TpgKind::kAdder, 8);
   for (const auto& t : init8.triplets) EXPECT_EQ(t.cycles, 8u);
-  (void)sol8;
 }
 
 TEST(Pipeline, GreedySolverOptionRespected) {
   reseed::PipelineOptions opts;
   opts.optimizer.solver = reseed::SolverChoice::kGreedy;
   const Pipeline p(circuits::make_c17(), "c17-greedy", opts);
-  const auto sol = p.run(tpg::TpgKind::kAdder, 16);
+  const auto sol = p.run({tpg::TpgKind::kAdder, 16});
   EXPECT_EQ(sol.faults_covered, sol.faults_targeted);
 }
 
@@ -67,7 +67,7 @@ TEST(Pipeline, CustomNetlistNamePropagates) {
 
 TEST(Pipeline, WorksOnMediumRegistryCircuit) {
   const Pipeline p("s820");
-  const ReseedingSolution sol = p.run(tpg::TpgKind::kAdder, 32);
+  const ReseedingSolution sol = p.run({tpg::TpgKind::kAdder, 32});
   EXPECT_GT(sol.num_triplets(), 0u);
   EXPECT_EQ(sol.faults_covered, sol.faults_targeted);
   EXPECT_LT(sol.num_triplets(), p.atpg_patterns().size());

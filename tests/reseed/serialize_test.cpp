@@ -264,7 +264,7 @@ TEST(Serialize, EndToEndSolutionReplay) {
   // Compute a solution, serialize, reload, expand the reloaded triplets
   // and confirm identical coverage — the full offline/online split.
   const Pipeline p("c17");
-  const auto sol = p.run(tpg::TpgKind::kAdder, 16);
+  const auto sol = p.run({tpg::TpgKind::kAdder, 16});
   const RomImage rom =
       to_rom_image(sol, "c17", "adder", p.circuit().num_inputs());
   const RomImage loaded = rom_from_string(rom_to_string(rom));

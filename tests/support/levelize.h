@@ -1,12 +1,13 @@
-// Levelization and topological utilities — reference implementation.
+// Levelization and topological utilities — test oracle.
 //
 // Netlist construction already enforces a topological net numbering
 // (fanin ids < gate id); levelization assigns each net its logic depth.
 //
-// The ATPG and statistics layers now read levels/depth from
-// netlist::CompiledCircuit (compiled once per circuit); these functions
-// remain the independent reference the compiler is pinned to in
-// tests/netlist/compiled_test.cpp, and serve one-shot callers.
+// The library reads levels, depth and output reachability from
+// netlist::CompiledCircuit.  These independent walkers over the plain
+// Netlist are the reference the compiler is pinned to in
+// tests/netlist/compiled_test.cpp (and the fault-list order to in
+// tests/fault/fault_test.cpp).
 #pragma once
 
 #include <cstddef>

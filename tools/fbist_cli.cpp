@@ -1,72 +1,23 @@
 // fbist — command-line front end for the reseeding library.
 //
-// Subcommands:
-//   info <circuit|file.bench>                circuit + fault statistics
-//   atpg <circuit|file.bench>                run ATPG, print test set stats
-//   reseed <circuit|file.bench> [options]    compute optimal reseeding
-//       --tpg adder|subtracter|multiplier|lfsr   (default adder)
-//       --cycles N                               (default 64)
-//       --solver exact|greedy                    (default exact)
-//       --out FILE                               write the ROM image
-//   replay <circuit|file.bench> <rom-file>   reload a ROM image, expand it
-//                                            and re-verify fault coverage
-//   tradeoff <circuit|file.bench> [--tpg K]  print the T sweep curve
-//   campaign [spec.txt] [options]            run a multi-circuit sweep on
-//                                            the work-stealing pool
-//       --circuits a,b,c     registry names and/or .bench paths
-//       --tpgs k1,k2         TPG kinds               (default adder)
-//       --cycles n1,n2       T values                (default 64)
-//       --solvers s1,s2      exact|greedy            (default exact)
-//       --jobs N             worker threads          (default: all cores)
-//       --json FILE          write the campaign report as JSON
-//       --timings            include wall-clock + jobs in the JSON
-//       --cache DIR          detection-matrix cache directory; runs that
-//                            share (circuit, TPG, T, seed) build their
-//                            matrix once, repeated campaigns reuse the
-//                            on-disk matrices instead of re-simulating
-//       --checkpoint DIR     persist each completed run as a versioned
-//                            blob in DIR and, on startup, skip runs that
-//                            already have one — a killed sweep resumes
-//                            where it left off (blobs from a different
-//                            spec are rejected; corrupt blobs are
-//                            ignored and re-executed)
-//       --shard I/N          execute only the I-th of N deterministic
-//                            contiguous slices of the canonical run
-//                            order (1-based); shards run on different
-//                            processes/hosts and are folded by `merge`
-//       --run-timeout MS     per-run wall-clock budget; an expired run
-//                            records the canonical failure
-//                            "run timeout: exceeded MS ms", checkpoints
-//                            like any other run, and the sweep continues
-//       --sat-escalate on|off  SAT escalation of PODEM-aborted faults
-//                            (default on): aborts become validated test
-//                            patterns or redundancy certificates; the
-//                            report's redundant/sat_detected columns
-//                            stay deterministic at any --jobs value
-//       --trace FILE         record scoped spans (pipeline stages, per-
-//                            worker tasks, steals, cache/checkpoint
-//                            events) and write a Chrome trace_event
-//                            JSON loadable in Perfetto/chrome://tracing
-//       --metrics FILE       write the campaign's metrics delta
-//                            (scheduler/cache/simulator counters and
-//                            latency histograms) as standalone JSON
-//                            Neither flag changes the canonical report
-//                            bytes.
-//     Flags extend/override the spec file; each circuit is compiled and
-//     ATPG-prepared once and shared by all of its runs.  Determinism
-//     contract: the report is bit-identical for any --jobs value,
-//     cached or not, resumed or not — and a report merged from shard
-//     checkpoints is byte-identical to an uninterrupted single-process
-//     run of the same spec.
-//   merge <spec> --checkpoint DIR...         fold shard/checkpoint sets
-//                                            into the complete report
-//                                            (every run must have a blob
-//                                            in some DIR; overlap is ok)
-//   cache list|clear <dir>                   inspect / empty a cache dir
-//   cache evict <dir> <key>                  drop one entry (16-hex key)
-//   failpoints                               list fault-injection site names
-//   gen <pi> <po> <gates> <seed>             emit a synthetic .bench to stdout
-//   list                                     registry circuit names
+// Every subcommand is one row of kCommands below: its name, its
+// synopsis and the function that runs it.  The synopsis lists the
+// positional arguments and every flag the subcommand takes, each flag
+// with the kind of value it takes (N, K, S, on|off, I/N, MS, a path).
+// One parser reads every command line against that synopsis and
+// rejects, naming the culprit, an unknown flag, a flag the subcommand
+// does not take, a flag without a value or with a bad one, and an
+// extra argument — no flag is ever silently ignored.  usage() prints
+// the same synopses (run `fbist` with no arguments), so the documented
+// and the accepted flags cannot drift apart.  Command-line errors exit
+// 2; a failing run exits 1.
+//
+// Campaign determinism contract: each circuit is compiled and
+// ATPG-prepared once and shared by all of its runs, and the report is
+// bit-identical for any --jobs value, cached or not, resumed or not —
+// and a report merged from shard checkpoints is byte-identical to an
+// uninterrupted single-process run of the same spec.  --trace and
+// --metrics never change the report bytes.
 //
 // Fault injection: set FBIST_FAILPOINTS="site=err(p[,seed[,max]]);..."
 // (see util/failpoint.h for the grammar; `fbist failpoints` lists the
@@ -76,8 +27,9 @@
 //
 // Circuit arguments name either a registry benchmark (c432, s1238, ...)
 // or a path to an ISCAS .bench file (sequential files are scan-flattened).
-#include <cstring>
 #include <iostream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -107,76 +59,48 @@ namespace {
 
 using namespace fbist;
 
-int usage() {
-  std::cerr <<
-      "usage: fbist <command> [args]\n"
-      "  info <circuit>\n"
-      "  atpg <circuit> [--sat-escalate on|off]\n"
-      "  reseed <circuit> [--tpg K] [--cycles N] [--solver exact|greedy] [--out FILE]\n"
-      "  replay <circuit> <rom-file>\n"
-      "  tradeoff <circuit> [--tpg K]\n"
-      "  matrix <circuit> [--tpg K] [--cycles N] [--out FILE]\n"
-      "  solve <instance.scp> [--solver exact|greedy]\n"
-      "  campaign [spec.txt] [--circuits a,b,c] [--tpgs k1,k2] [--cycles n1,n2]\n"
-      "           [--solvers exact|greedy] [--jobs N] [--json FILE] [--timings]\n"
-      "           [--cache DIR] [--checkpoint DIR] [--shard I/N]\n"
-      "           [--run-timeout MS] [--sat-escalate on|off]\n"
-      "           [--trace FILE] [--metrics FILE]\n"
-      "  merge <spec.txt | --circuits ...> --checkpoint DIR [--checkpoint DIR2 ...]\n"
-      "        [--json FILE] [--timings]\n"
-      "  cache list <dir> | clear <dir> | evict <dir> <key>\n"
-      "  failpoints\n"
-      "  gen <pi> <po> <gates> <seed>\n"
-      "  list\n"
-      "circuit = registry name (see 'list') or a .bench file path\n"
-      "env FBIST_FAILPOINTS = site=err(p[,seed[,max]]) | perm(...) | enospc(...)\n"
-      "    | delay(ms[,max]) | off, pairs ';'-separated ('failpoints' lists sites)\n";
-  return 2;
-}
-
-netlist::Netlist load_circuit(const std::string& arg) {
-  return campaign::load_circuit(arg);
-}
-
-tpg::TpgKind parse_tpg(const std::string& name) {
-  return campaign::parse_tpg_kind(name);
-}
+/// A malformed command line: reported with the subcommand's synopsis,
+/// exit status 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Strict positive count: no sign, no trailing junk, not 0.
-std::size_t parse_count(const std::string& tok, const char* what) {
+std::size_t parse_count(const std::string& tok, const std::string& what) {
   std::uint64_t v = 0;
-  if (!util::parse_u64(tok, &v) || v == 0) {
-    throw std::runtime_error(std::string(what) + ": bad value '" + tok + "'");
-  }
+  if (!util::parse_u64(tok, &v) || v == 0)
+    throw std::runtime_error(what + ": bad value '" + tok + "'");
   return v;
 }
 
-struct Flags {
-  std::string tpg = "adder";
-  std::size_t cycles = 64;
-  std::string solver = "exact";
-  std::string out;
-};
-
-Flags parse_flags(const std::vector<std::string>& args, std::size_t from) {
-  Flags f;
-  for (std::size_t i = from; i < args.size(); ++i) {
-    auto need_value = [&](const char* flag) -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--tpg") f.tpg = need_value("--tpg");
-    else if (args[i] == "--cycles") f.cycles = parse_count(need_value("--cycles"), "--cycles");
-    else if (args[i] == "--solver") f.solver = need_value("--solver");
-    else if (args[i] == "--out") f.out = need_value("--out");
-    else throw std::runtime_error("unknown flag: " + args[i]);
+std::vector<std::string> split_commas(const std::string& arg) {
+  std::vector<std::string> out;
+  std::istringstream ss(arg);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) out.push_back(item);
   }
-  return f;
+  return out;
 }
 
-int cmd_list() {
+/// One command line, read against its subcommand's synopsis.
+struct Args {
+  std::vector<std::string> pos;
+  /// Every value given per flag, in order ("" for a presence flag).
+  std::map<std::string, std::vector<std::string>> flags;
+
+  bool has(const std::string& f) const { return flags.count(f) != 0; }
+  std::vector<std::string> all(const std::string& f) const {
+    return has(f) ? flags.at(f) : std::vector<std::string>{};
+  }
+  /// The last value given for `f` (a repeated flag overrides), or
+  /// `fallback`.
+  std::string get(const std::string& f, std::string fallback = "") const {
+    return has(f) ? flags.at(f).back() : fallback;
+  }
+};
+
+int cmd_list(const Args&) {
   for (const auto& p : circuits::benchmark_profiles()) {
     std::cout << p.name << "  (" << p.num_inputs << " PI, " << p.num_outputs
               << " PO, ~" << p.num_gates << " gates"
@@ -185,8 +109,9 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_info(const std::string& arg) {
-  const auto nl = load_circuit(arg);
+int cmd_info(const Args& a) {
+  const std::string& arg = a.pos[0];
+  const auto nl = campaign::load_circuit(arg);
   std::cout << netlist::stats_to_string(netlist::compute_stats(nl), arg);
   const auto faults = fault::FaultList::collapsed(nl);
   std::cout << "  collapsed stuck-at faults: " << faults.size() << "\n";
@@ -204,19 +129,11 @@ int cmd_info(const std::string& arg) {
   return 0;
 }
 
-int cmd_atpg(const std::string& arg, const std::vector<std::string>& args) {
+int cmd_atpg(const Args& a) {
+  const std::string& arg = a.pos[0];
   reseed::PipelineOptions opts;
-  for (std::size_t i = 3; i < args.size(); ++i) {
-    if (args[i] == "--sat-escalate" && i + 1 < args.size()) {
-      const std::string& v = args[++i];
-      if (v != "on" && v != "off")
-        throw std::runtime_error("--sat-escalate: expected on|off");
-      opts.atpg.sat_escalate = v == "on";
-    } else {
-      throw std::runtime_error("unknown flag: " + args[i]);
-    }
-  }
-  reseed::Pipeline p(load_circuit(arg), arg, opts);
+  opts.atpg.sat_escalate = a.get("--sat-escalate", "on") == "on";
+  reseed::Pipeline p(campaign::load_circuit(arg), arg, opts);
   const auto& r = p.atpg_result();
   std::cout << arg << ": " << p.atpg_patterns().size() << " patterns ("
             << r.random_patterns_used << " random-phase, "
@@ -231,35 +148,38 @@ int cmd_atpg(const std::string& arg, const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_reseed(const std::string& arg, const Flags& f) {
+int cmd_reseed(const Args& a) {
+  const std::string& arg = a.pos[0];
+  const std::string tpg = a.get("--tpg", "adder");
+  const std::size_t cycles = parse_count(a.get("--cycles", "64"), "--cycles");
+  const std::string out = a.get("--out");
   reseed::PipelineOptions opts;
-  opts.optimizer.solver = f.solver == "greedy" ? reseed::SolverChoice::kGreedy
-                                               : reseed::SolverChoice::kExact;
-  reseed::Pipeline p(load_circuit(arg), arg, opts);
-  const auto sol = p.run(parse_tpg(f.tpg), f.cycles);
+  opts.optimizer.solver = campaign::parse_solver(a.get("--solver", "exact"));
+  reseed::Pipeline p(campaign::load_circuit(arg), arg, opts);
+  const auto sol = p.run({campaign::parse_tpg_kind(tpg), cycles});
   std::cout << reseed::solution_to_string(
-      sol, arg + " / " + f.tpg + " TPG / T=" + std::to_string(f.cycles) + ":");
-  if (!f.out.empty()) {
-    const auto rom = reseed::to_rom_image(sol, arg, f.tpg,
-                                          p.circuit().num_inputs());
-    reseed::write_rom_file(rom, f.out);
-    std::cout << "ROM image written to " << f.out << " (" << rom.rom_bits()
+      sol, arg + " / " + tpg + " TPG / T=" + std::to_string(cycles) + ":");
+  if (!out.empty()) {
+    const auto rom =
+        reseed::to_rom_image(sol, arg, tpg, p.circuit().num_inputs());
+    reseed::write_rom_file(rom, out);
+    std::cout << "ROM image written to " << out << " (" << rom.rom_bits()
               << " bits)\n";
   }
   return sol.faults_covered == sol.faults_targeted ? 0 : 1;
 }
 
-int cmd_replay(const std::string& arg, const std::string& rom_path) {
-  const auto rom = reseed::read_rom_file(rom_path);
-  reseed::Pipeline p(load_circuit(arg), arg);
+int cmd_replay(const Args& a) {
+  const std::string& arg = a.pos[0];
+  const auto rom = reseed::read_rom_file(a.pos[1]);
+  reseed::Pipeline p(campaign::load_circuit(arg), arg);
   if (rom.width != p.circuit().num_inputs()) {
-    obs::diag(obs::Severity::kError, "replay",
-              "ROM width " + std::to_string(rom.width) +
-                  " != circuit PI count " +
-                  std::to_string(p.circuit().num_inputs()));
-    return 1;
+    throw std::runtime_error("replay: ROM width " + std::to_string(rom.width) +
+                             " != circuit PI count " +
+                             std::to_string(p.circuit().num_inputs()));
   }
-  const auto tpg = tpg::make_tpg(parse_tpg(rom.tpg_name), rom.width);
+  const auto tpg =
+      tpg::make_tpg(campaign::parse_tpg_kind(rom.tpg_name), rom.width);
   sim::PatternSet all(rom.width, 0);
   for (const auto& t : rom.triplets) {
     all.append_all(tpg::expand_triplet(*tpg, t));
@@ -273,15 +193,18 @@ int cmd_replay(const std::string& arg, const std::string& rom_path) {
   return r.num_detected() == p.faults().size() ? 0 : 1;
 }
 
-int cmd_tradeoff(const std::string& arg, const Flags& f) {
-  reseed::Pipeline p(load_circuit(arg), arg);
-  const auto tpg = tpg::make_tpg(parse_tpg(f.tpg), p.circuit().num_inputs());
+int cmd_tradeoff(const Args& a) {
+  const std::string& arg = a.pos[0];
+  const std::string tpg_name = a.get("--tpg", "adder");
+  reseed::Pipeline p(campaign::load_circuit(arg), arg);
+  const auto tpg = tpg::make_tpg(campaign::parse_tpg_kind(tpg_name),
+                                 p.circuit().num_inputs());
   reseed::TradeoffOptions topts;
   topts.cycle_values = {1, 4, 16, 64, 256, 1024};
   topts.builder.shared_sigma = true;
   const auto points =
       reseed::tradeoff_sweep(p.fault_sim(), *tpg, p.atpg_patterns(), topts);
-  util::Table table(arg + " trade-off (" + f.tpg + ")");
+  util::Table table(arg + " trade-off (" + tpg_name + ")");
   table.set_header({"T", "#reseedings", "test length"});
   for (const auto& pt : points) {
     table.add_row({std::to_string(pt.cycles_per_triplet),
@@ -292,28 +215,28 @@ int cmd_tradeoff(const std::string& arg, const Flags& f) {
   return 0;
 }
 
-int cmd_matrix(const std::string& arg, const Flags& f) {
-  reseed::Pipeline p(load_circuit(arg), arg);
-  const auto [init, sol] = p.run_detailed(parse_tpg(f.tpg), f.cycles);
-  (void)sol;
-  if (f.out.empty()) {
+int cmd_matrix(const Args& a) {
+  const std::string& arg = a.pos[0];
+  const std::string out = a.get("--out");
+  reseed::Pipeline p(campaign::load_circuit(arg), arg);
+  const auto init = p.build(campaign::parse_tpg_kind(a.get("--tpg", "adder")),
+                            parse_count(a.get("--cycles", "64"), "--cycles"));
+  if (out.empty()) {
     std::cout << cover::instance_to_string(init.matrix);
   } else {
-    cover::write_instance_file(init.matrix, f.out);
+    cover::write_instance_file(init.matrix, out);
     std::cout << "detection matrix (" << init.matrix.num_rows() << "x"
-              << init.matrix.num_cols() << ") written to " << f.out << "\n";
+              << init.matrix.num_cols() << ") written to " << out << "\n";
   }
   return 0;
 }
 
-int cmd_solve(const std::string& path, const Flags& f) {
-  const auto m = cover::read_instance_file(path);
+int cmd_solve(const Args& a) {
+  const auto m = cover::read_instance_file(a.pos[0]);
   if (!m.all_columns_coverable()) {
-    obs::diag(obs::Severity::kError, "solve",
-              "instance has uncoverable columns");
-    return 1;
+    throw std::runtime_error("solve: instance has uncoverable columns");
   }
-  if (f.solver == "greedy") {
+  if (a.get("--solver") == "greedy") {
     const auto s = cover::solve_greedy(m);
     std::cout << "greedy cover: " << s.rows.size() << " rows\n";
   } else {
@@ -327,106 +250,37 @@ int cmd_solve(const std::string& path, const Flags& f) {
   return 0;
 }
 
-std::vector<std::string> split_commas(const std::string& arg) {
-  std::vector<std::string> out;
-  std::istringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
+/// Replaces `list` with the parsed items of `flag`'s last value, when
+/// the flag is given.
+template <typename T, typename Parse>
+void replace_list(const Args& a, const char* flag, std::vector<T>& list,
+                  Parse parse) {
+  if (!a.has(flag)) return;
+  list.clear();
+  for (const auto& item : split_commas(a.get(flag))) {
+    list.push_back(parse(item));
   }
-  return out;
 }
 
-/// Everything the campaign-family subcommands (`campaign`, `merge`)
-/// parse from the command line.
-struct CampaignArgs {
+/// The sweep a `campaign` or `merge` command line describes: the spec
+/// file, if given, with --circuits appended and the other lists
+/// replaced by their flags.
+campaign::CampaignSpec campaign_spec(const Args& a) {
   campaign::CampaignSpec spec;
-  campaign::CampaignOptions copts;
-  std::string json_path;
-  bool timings = false;
-  std::vector<std::string> checkpoint_dirs;  // repeatable for `merge`
-};
-
-CampaignArgs parse_campaign_args(const std::vector<std::string>& args) {
-  CampaignArgs out;
-  // Pass 1: a positional spec file (if any) provides the base spec;
-  // --flags then extend the circuit list and override the other lists
-  // regardless of argument order.
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    if (args[i].rfind("--", 0) == 0) {
-      if (args[i] != "--timings") ++i;  // skip the flag's value
-      continue;
-    }
-    out.spec = campaign::parse_spec_file(args[i]);
+  if (!a.pos.empty()) spec = campaign::parse_spec_file(a.pos[0]);
+  for (const std::string& v : a.all("--circuits"))
+    for (std::string& c : split_commas(v)) spec.circuits.push_back(c);
+  replace_list(a, "--tpgs", spec.tpgs, campaign::parse_tpg_kind);
+  replace_list(a, "--cycles", spec.cycle_values,
+               [](const std::string& c) { return parse_count(c, "--cycles"); });
+  replace_list(a, "--solvers", spec.solvers, campaign::parse_solver);
+  if (a.has("--sat-escalate")) {
+    spec.pipeline.atpg.sat_escalate = a.get("--sat-escalate") == "on";
   }
-
-  for (std::size_t i = 2; i < args.size(); ++i) {
-    auto need_value = [&](const char* flag) -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::runtime_error(std::string(flag) + " needs a value");
-      }
-      return args[++i];
-    };
-    if (args[i] == "--circuits") {
-      for (auto& c : split_commas(need_value("--circuits"))) {
-        out.spec.circuits.push_back(c);
-      }
-    } else if (args[i] == "--tpgs") {
-      out.spec.tpgs.clear();
-      for (auto& t : split_commas(need_value("--tpgs"))) {
-        out.spec.tpgs.push_back(campaign::parse_tpg_kind(t));
-      }
-    } else if (args[i] == "--cycles") {
-      out.spec.cycle_values.clear();
-      for (auto& c : split_commas(need_value("--cycles"))) {
-        out.spec.cycle_values.push_back(parse_count(c, "--cycles"));
-      }
-    } else if (args[i] == "--solvers" || args[i] == "--solver") {
-      out.spec.solvers.clear();
-      for (auto& s : split_commas(need_value("--solvers"))) {
-        out.spec.solvers.push_back(campaign::parse_solver(s));
-      }
-    } else if (args[i] == "--jobs") {
-      out.copts.jobs = parse_count(need_value("--jobs"), "--jobs");
-      if (out.copts.jobs > 256) {
-        throw std::runtime_error("--jobs: more than 256 workers requested");
-      }
-    } else if (args[i] == "--json") {
-      out.json_path = need_value("--json");
-    } else if (args[i] == "--timings") {
-      out.timings = true;
-    } else if (args[i] == "--cache") {
-      reseed::MatrixCacheOptions mopts;
-      mopts.dir = need_value("--cache");
-      out.copts.matrix_cache = std::make_shared<reseed::MatrixCache>(mopts);
-    } else if (args[i] == "--checkpoint") {
-      out.checkpoint_dirs.push_back(need_value("--checkpoint"));
-    } else if (args[i] == "--trace") {
-      out.copts.trace_file = need_value("--trace");
-    } else if (args[i] == "--metrics") {
-      out.copts.metrics_file = need_value("--metrics");
-    } else if (args[i] == "--shard") {
-      // "I/N", 1-based: --shard 2/3 executes the second of three
-      // deterministic contiguous slices of the canonical run order.
-      std::tie(out.copts.shard_index, out.copts.shard_count) =
-          campaign::parse_shard_arg(need_value("--shard"));
-    } else if (args[i] == "--sat-escalate") {
-      const std::string v = need_value("--sat-escalate");
-      if (v != "on" && v != "off")
-        throw std::runtime_error("--sat-escalate: expected on|off");
-      out.spec.pipeline.atpg.sat_escalate = v == "on";
-    } else if (args[i] == "--run-timeout") {
-      out.copts.run_timeout_ms =
-          campaign::parse_run_timeout_arg(need_value("--run-timeout"));
-    } else if (args[i].rfind("--", 0) == 0) {
-      throw std::runtime_error("unknown flag: " + args[i]);
-    }
-  }
-  return out;
+  return spec;
 }
 
-void print_report(const campaign::Report& report, const std::string& json_path,
-                  bool timings) {
+void print_report(const campaign::Report& report, const Args& a) {
   std::cout << report.summary();
   if (report.cache.enabled) {
     std::cout << "matrix cache: " << report.cache.hits << " hits ("
@@ -448,89 +302,87 @@ void print_report(const campaign::Report& report, const std::string& json_path,
               << report.shard_count << ": " << report.runs.size()
               << " of the sweep's runs\n";
   }
+  const std::string json_path = a.get("--json");
   if (!json_path.empty()) {
     // Atomic + retried ("report.write" failpoint): a torn report file
     // would defeat the byte-identity checks downstream tooling runs.
     util::io::write_file_atomic("report.write", json_path,
-                                report.to_json(timings));
+                                report.to_json(a.has("--timings")));
     std::cout << "campaign report written to " << json_path << " ("
               << report.runs.size() << " runs)\n";
   }
 }
 
-int cmd_campaign(const std::vector<std::string>& args) {
-  CampaignArgs a = parse_campaign_args(args);
-  if (a.checkpoint_dirs.size() > 1) {
-    throw std::runtime_error(
-        "campaign: one --checkpoint directory per process (merge folds "
-        "several)");
+int cmd_campaign(const Args& a) {
+  const campaign::CampaignSpec spec = campaign_spec(a);
+  campaign::CampaignOptions copts;
+  copts.jobs = a.has("--jobs") ? parse_count(a.get("--jobs"), "--jobs") : 0;
+  if (copts.jobs > 256) throw UsageError("--jobs: more than 256 workers");
+  if (a.has("--cache")) {
+    copts.matrix_cache = std::make_shared<reseed::MatrixCache>(
+        reseed::MatrixCacheOptions{a.get("--cache")});
   }
-  if (!a.checkpoint_dirs.empty()) {
-    a.copts.checkpoint_dir = a.checkpoint_dirs.front();
+  if (a.all("--checkpoint").size() > 1)
+    throw UsageError("one --checkpoint DIR per process (merge folds several)");
+  copts.checkpoint_dir = a.get("--checkpoint");
+  if (a.has("--shard")) {
+    // "I/N", 1-based: --shard 2/3 executes the second of three
+    // deterministic contiguous slices of the canonical run order.
+    std::tie(copts.shard_index, copts.shard_count) =
+        campaign::parse_shard_arg(a.get("--shard"));
   }
-  const campaign::Report report = campaign::run_campaign(a.spec, a.copts);
-  print_report(report, a.json_path, a.timings);
+  if (a.has("--run-timeout")) {
+    copts.run_timeout_ms =
+        campaign::parse_run_timeout_arg(a.get("--run-timeout"));
+  }
+  copts.trace_file = a.get("--trace");
+  copts.metrics_file = a.get("--metrics");
+  const campaign::Report report = campaign::run_campaign(spec, copts);
+  print_report(report, a);
   return report.all_ok() ? 0 : 1;
 }
 
-int cmd_merge(const std::vector<std::string>& args) {
-  const CampaignArgs a = parse_campaign_args(args);
-  if (a.checkpoint_dirs.empty()) {
-    throw std::runtime_error(
-        "merge: at least one --checkpoint DIR is required");
-  }
-  if (a.copts.jobs != 0 || a.copts.shard_count != 1 ||
-      a.copts.matrix_cache != nullptr || a.copts.run_timeout_ms != 0) {
-    throw std::runtime_error(
-        "merge folds existing checkpoints; --jobs/--shard/--cache/"
-        "--run-timeout do not apply");
-  }
+int cmd_merge(const Args& a) {
   // Determinism contract: the merged report is byte-identical to an
   // uninterrupted single-process run of the same spec.
   const campaign::Report report =
-      campaign::merge_checkpoints(a.spec, a.checkpoint_dirs);
-  print_report(report, a.json_path, a.timings);
+      campaign::merge_checkpoints(campaign_spec(a), a.all("--checkpoint"));
+  print_report(report, a);
   return report.all_ok() ? 0 : 1;
 }
 
-int cmd_cache(const std::vector<std::string>& args) {
-  if (args.size() < 4) return usage();
-  const std::string& action = args[2];
-  const std::string& dir = args[3];
-  if (action == "list") {
-    const auto entries = reseed::MatrixCache::list_dir(dir);
-    std::uintmax_t total = 0;
-    for (const auto& e : entries) {
-      std::cout << reseed::MatrixCache::key_hex(e.key) << "  " << e.bytes
-                << " bytes\n";
-      total += e.bytes;
-    }
-    std::cout << entries.size() << " entries, " << total << " bytes in " << dir
-              << "\n";
-    return 0;
+int cmd_cache_list(const Args& a) {
+  const auto entries = reseed::MatrixCache::list_dir(a.pos[0]);
+  std::uintmax_t total = 0;
+  for (const auto& e : entries) {
+    std::cout << reseed::MatrixCache::key_hex(e.key) << "  " << e.bytes
+              << " bytes\n";
+    total += e.bytes;
   }
-  if (action == "clear") {
-    std::cout << "evicted " << reseed::MatrixCache::clear_dir(dir)
-              << " entries from " << dir << "\n";
-    return 0;
-  }
-  if (action == "evict") {
-    if (args.size() < 5) return usage();
-    const std::string& hex = args[4];
-    reseed::MatrixCache::Key key = 0;
-    if (!util::parse_hex64(hex, &key)) {
-      throw std::runtime_error("cache evict: key must be 16 lowercase hex digits");
-    }
-    if (!reseed::MatrixCache::evict_file(dir, key)) {
-      throw std::runtime_error("cache evict: no entry " + hex + " in " + dir);
-    }
-    std::cout << "evicted " << hex << " from " << dir << "\n";
-    return 0;
-  }
-  return usage();
+  std::cout << entries.size() << " entries, " << total << " bytes in "
+            << a.pos[0] << "\n";
+  return 0;
 }
 
-int cmd_failpoints() {
+int cmd_cache_clear(const Args& a) {
+  std::cout << "evicted " << reseed::MatrixCache::clear_dir(a.pos[0])
+            << " entries from " << a.pos[0] << "\n";
+  return 0;
+}
+
+int cmd_cache_evict(const Args& a) {
+  const std::string& dir = a.pos[0];
+  const std::string& hex = a.pos[1];
+  reseed::MatrixCache::Key key = 0;
+  if (!util::parse_hex64(hex, &key))
+    throw std::runtime_error("cache evict: key must be 16 lowercase hex digits");
+  if (!reseed::MatrixCache::evict_file(dir, key))
+    throw std::runtime_error("cache evict: no entry " + hex + " in " + dir);
+  std::cout << "evicted " << hex << " from " << dir << "\n";
+  return 0;
+}
+
+int cmd_failpoints(const Args&) {
   // One site per line, sorted — the chaos CI job diffs this against the
   // spec it arms, so adding a site without chaos coverage fails CI.
   if (!util::failpoint::compiled_in()) {
@@ -544,18 +396,140 @@ int cmd_failpoints() {
   return 0;
 }
 
-int cmd_gen(const std::vector<std::string>& args) {
-  if (args.size() < 6) return usage();
+int cmd_gen(const Args& a) {
   circuits::GeneratorSpec spec;
-  spec.num_inputs = parse_count(args[2], "gen inputs");
-  spec.num_outputs = parse_count(args[3], "gen outputs");
-  spec.num_gates = parse_count(args[4], "gen gates");
-  if (!util::parse_u64(args[5], &spec.seed)) {
-    throw std::runtime_error("gen seed: bad value '" + args[5] + "'");
-  }
+  spec.num_inputs = parse_count(a.pos[0], "gen inputs");
+  spec.num_outputs = parse_count(a.pos[1], "gen outputs");
+  spec.num_gates = parse_count(a.pos[2], "gen gates");
+  if (!util::parse_u64(a.pos[3], &spec.seed))
+    throw std::runtime_error("gen seed: bad value '" + a.pos[3] + "'");
   spec.layers = 8 + spec.num_gates / 150;
   netlist::write_bench(circuits::generate(spec), std::cout);
   return 0;
+}
+
+/// One row per subcommand: its name (two words for the cache actions),
+/// its synopsis, and the function that runs it.  The synopsis is the
+/// parser's only input: positionals
+/// ("<x>", or "[x]" when optional) and every flag the subcommand takes,
+/// "[--flag]" or "[--flag KIND]".
+struct Command {
+  std::string name;
+  std::string synopsis;
+  int (*run)(const Args&);
+};
+
+const Command kCommands[] = {
+    {"info", "<circuit>", cmd_info},
+    {"atpg", "<circuit> [--sat-escalate on|off]", cmd_atpg},
+    {"reseed", "<circuit> [--tpg K] [--cycles N] [--solver S] [--out FILE]",
+     cmd_reseed},
+    {"replay", "<circuit> <rom-file>", cmd_replay},
+    {"tradeoff", "<circuit> [--tpg K]", cmd_tradeoff},
+    {"matrix", "<circuit> [--tpg K] [--cycles N] [--out FILE]", cmd_matrix},
+    {"solve", "<instance.scp> [--solver S]", cmd_solve},
+    {"campaign",
+     "[spec.txt] [--circuits a,...] [--tpgs K,...] [--cycles N,...]\n"
+     "      [--solvers S,...] [--jobs N] [--json FILE] [--timings]\n"
+     "      [--cache DIR] [--checkpoint DIR] [--shard I/N] [--run-timeout MS]\n"
+     "      [--sat-escalate on|off] [--trace FILE] [--metrics FILE]",
+     cmd_campaign},
+    {"merge",
+     "[spec.txt] [--circuits a,...] [--tpgs K,...] [--cycles N,...]\n"
+     "      [--solvers S,...] [--checkpoint DIR] [--json FILE] [--timings]",
+     cmd_merge},
+    {"cache list", "<dir>", cmd_cache_list},
+    {"cache clear", "<dir>", cmd_cache_clear},
+    {"cache evict", "<dir> <key>", cmd_cache_evict},
+    {"failpoints", "", cmd_failpoints},
+    {"gen", "<pi> <po> <gates> <seed>", cmd_gen},
+    {"list", "", cmd_list},
+};
+
+int usage() {
+  std::cerr << "usage: fbist <command> [args]\n";
+  for (const Command& c : kCommands) {
+    std::cerr << "  " << c.name << (c.synopsis.empty() ? "" : " ")
+              << c.synopsis << "\n";
+  }
+  std::cerr << R"(circuit = registry name (see 'list') or a .bench file path
+K = adder|subtracter|multiplier|lfsr, S = exact|greedy, X,... = comma-separated
+campaign/merge flags extend (--circuits) or override the spec file
+env FBIST_FAILPOINTS = site=err(p[,seed[,max]]) | perm(...) | enospc(...)
+    | delay(ms[,max]) | off, pairs ';'-separated ('failpoints' lists sites)
+)";
+  return 2;
+}
+
+/// `flag`'s value kind as `c`'s synopsis spells it ("" for a presence
+/// flag), or nullopt when `c` does not take `flag`.
+std::optional<std::string> kind_of(const Command& c, const std::string& flag) {
+  if (flag.find_first_of(" []") != std::string::npos) return std::nullopt;
+  if (c.synopsis.find("[" + flag + "]") != std::string::npos) return "";
+  const std::size_t at = c.synopsis.find("[" + flag + " ");
+  if (at == std::string::npos) return std::nullopt;
+  const std::size_t from = at + flag.size() + 2;
+  return c.synopsis.substr(from, c.synopsis.find(']', from) - from);
+}
+
+/// Checks `value` with its kind's own parser; a list kind ("N,...")
+/// checks every item.  Paths are not checked.
+void check_value(const std::string& flag, const std::string& kind,
+                 const std::string& value) {
+  const std::string one = kind.substr(0, kind.find(",..."));
+  try {
+    for (const std::string& v :
+         one == kind ? std::vector<std::string>{value} : split_commas(value)) {
+      if (one == "N") parse_count(v, flag);
+      if (one == "K") campaign::parse_tpg_kind(v);
+      if (one == "S") campaign::parse_solver(v);
+      if (one == "I/N") campaign::parse_shard_arg(v);
+      if (one == "MS") campaign::parse_run_timeout_arg(v);
+      if (one == "on|off" && v != "on" && v != "off")
+        throw std::runtime_error("expected on|off, got '" + v + "'");
+    }
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();  // some parsers name the flag
+    throw UsageError(what.rfind(flag, 0) == 0 ? what : flag + ": " + what);
+  }
+}
+
+/// Reads the arguments after `c`'s name against its synopsis; throws
+/// UsageError naming the offending flag or argument.
+Args parse_args(const Command& c, const std::vector<std::string>& args) {
+  std::vector<std::string> positionals;  // "[x]" is optional
+  std::istringstream syn(c.synopsis);
+  for (std::string t; syn >> t;) {
+    if (t[0] == '<' || (t[0] == '[' && t[1] != '-')) positionals.push_back(t);
+  }
+  Args out;
+  const std::size_t first = c.name.find(' ') == std::string::npos ? 2 : 3;
+  for (std::size_t i = first; i < args.size(); ++i) {
+    const std::string& tok = args[i];
+    if (tok.rfind("--", 0) != 0) {
+      if (out.pos.size() == positionals.size()) {
+        throw UsageError("unexpected argument '" + tok + "'");
+      }
+      out.pos.push_back(tok);
+      continue;
+    }
+    const auto kind = kind_of(c, tok);
+    if (!kind) throw UsageError("does not take " + tok);
+    std::string value;
+    if (!kind->empty()) {
+      if (i + 1 == args.size() || args[i + 1].rfind("--", 0) == 0) {
+        throw UsageError(tok + " needs a value");
+      }
+      value = args[++i];
+      check_value(tok, *kind, value);
+    }
+    out.flags[tok].push_back(value);
+  }
+  if (out.pos.size() < positionals.size() &&
+      positionals[out.pos.size()][0] == '<') {
+    throw UsageError("missing " + positionals[out.pos.size()]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -572,27 +546,21 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (args.size() < 2) return usage();
-  const std::string& cmd = args[1];
-  try {
-    if (cmd == "list") return cmd_list();
-    if (cmd == "failpoints") return cmd_failpoints();
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "campaign") return cmd_campaign(args);
-    if (cmd == "merge") return cmd_merge(args);
-    if (cmd == "cache") return cmd_cache(args);
-    if (args.size() < 3) return usage();
-    const std::string& circuit = args[2];
-    if (cmd == "info") return cmd_info(circuit);
-    if (cmd == "atpg") return cmd_atpg(circuit, args);
-    if (cmd == "reseed") return cmd_reseed(circuit, parse_flags(args, 3));
-    if (cmd == "replay") {
-      if (args.size() < 4) return usage();
-      return cmd_replay(circuit, args[3]);
-    }
-    if (cmd == "tradeoff") return cmd_tradeoff(circuit, parse_flags(args, 3));
-    if (cmd == "matrix") return cmd_matrix(circuit, parse_flags(args, 3));
-    if (cmd == "solve") return cmd_solve(circuit, parse_flags(args, 3));
+  const Command* cmd = nullptr;
+  const std::string two = args.size() > 2 ? args[1] + " " + args[2] : "";
+  for (const Command& c : kCommands) {
+    if (c.name == args[1] || c.name == two) cmd = &c;
+  }
+  if (cmd == nullptr) {
+    obs::diag(obs::Severity::kError, "cli", "unknown command " + args[1]);
     return usage();
+  }
+  try {
+    return cmd->run(parse_args(*cmd, args));
+  } catch (const UsageError& e) {
+    obs::diag(obs::Severity::kError, "cli", cmd->name + ": " + e.what());
+    std::cerr << "usage: fbist " << cmd->name << " " << cmd->synopsis << "\n";
+    return 2;
   } catch (const std::exception& e) {
     obs::diag(obs::Severity::kError, "cli", e.what());
     return 1;
