@@ -8,6 +8,9 @@
 
 namespace fbist::atpg {
 
+constexpr std::size_t kMaxRandomBlocks = 64;  // cap on 64-pattern random blocks
+constexpr std::size_t kDryBlockLimit = 3;  // stop random phase after N dry blocks
+
 double AtpgResult::testable_coverage_percent() const {
   std::size_t detected = 0, total = verdict.size(), redundant = 0;
   for (const auto v : verdict) {
@@ -38,13 +41,13 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
 
   // ---- Phase 1: random patterns with fault dropping -------------------
   std::size_t dry_blocks = 0;
-  for (std::size_t b = 0; b < opts.max_random_blocks && num_remaining > 0; ++b) {
+  for (std::size_t b = 0; b < kMaxRandomBlocks && num_remaining > 0; ++b) {
     sim::PatternSet block = sim::PatternSet::random(nl.num_inputs(), 64, rng);
     const sim::FaultSimResult r = fsim.run_subset(block, remaining);
     std::vector<std::size_t> hits;
     r.detected.for_each_set([&](std::size_t fid) { hits.push_back(fid); });
     if (hits.empty()) {
-      if (++dry_blocks >= opts.unproductive_block_limit) break;
+      if (++dry_blocks >= kDryBlockLimit) break;
       continue;
     }
     dry_blocks = 0;

@@ -31,8 +31,6 @@
 namespace fbist::atpg {
 
 struct AtpgOptions {
-  std::size_t max_random_blocks = 64;      // cap on 64-pattern random blocks
-  std::size_t unproductive_block_limit = 3;  // stop random phase after N dry blocks
   PodemOptions podem;
   bool compact = true;  // reverse-order compaction pass
   /// SAT escalation: when PODEM aborts on a fault, hand it to

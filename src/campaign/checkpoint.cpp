@@ -1,13 +1,8 @@
 #include "campaign/checkpoint.h"
 
-#include <signal.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -16,18 +11,22 @@
 #include "obs/diag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/failpoint.h"
 #include "util/guarded_io.h"
 #include "util/record.h"
 #include "util/rng.h"
 
 namespace fbist::campaign {
 
-namespace fs = std::filesystem;
-
 namespace {
 
 constexpr const char* kSuffix = ".ckpt";
+
+/// Blob stem of canonical position `pos`: run-<pos, 6 digits>.
+std::string blob_stem(std::size_t pos) {
+  char stem[32];
+  std::snprintf(stem, sizeof stem, "run-%06zu", pos);
+  return stem;
+}
 
 /// Error messages are one rest-of-line field; fold any embedded
 /// newline (exception text is free-form) into a space on write.
@@ -53,13 +52,11 @@ std::uint64_t spec_hash(const CampaignSpec& spec) {
   return hs.value();
 }
 
-std::string spec_hash_hex(std::uint64_t h) { return util::hex64(h); }
-
 std::string checkpoint_to_string(const CheckpointRecord& rec) {
   const RunResult& r = rec.result;
   std::ostringstream out;
   out << "fbist-ckpt v2\n";
-  out << "spec " << spec_hash_hex(rec.spec) << "\n";
+  out << "spec " << util::hex64(rec.spec) << "\n";
   out << "run " << rec.position << " " << rec.total_runs << "\n";
   out << "circuit " << one_line(r.spec.circuit) << "\n";
   out << "tpg " << tpg::tpg_kind_name(r.spec.tpg) << "\n";
@@ -177,60 +174,20 @@ CheckpointRecord checkpoint_from_string(const std::string& text) {
   return rec;
 }
 
-namespace {
-
-/// True when `pid` names a live process: kill(pid, 0) probes existence
-/// without signalling (EPERM still means "exists, not ours").
-bool pid_alive(std::uint64_t pid) {
-  if (pid == 0 || pid > static_cast<std::uint64_t>(INT32_MAX)) return false;
-  return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
-}
-
-}  // namespace
-
 CheckpointStore::CheckpointStore(std::string dir, const CampaignSpec& spec)
-    : dir_(std::move(dir)), hash_(spec_hash(spec)), runs_(spec.expand()) {
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (!fs::is_directory(dir_, ec)) {
-    throw std::runtime_error("checkpoint: cannot create directory " + dir_);
+    : blobs_(std::move(dir), kSuffix, "checkpoint store",
+             "checkpointing disabled, durability lost"),
+      hash_(spec_hash(spec)),
+      runs_(spec.expand()) {
+  if (!blobs_.create()) {
+    throw std::runtime_error("checkpoint: cannot create directory " +
+                             blobs_.dir());
   }
-  sweep_stale_temps();
-}
-
-void CheckpointStore::sweep_stale_temps() {
-  // A writer killed mid-write leaves "<blob>.ckpt.tmp.<pid>" behind;
-  // load() already ignores temps, but without a sweep they accumulate
-  // forever across kill/resume cycles.  Remove every temp whose writer
-  // pid is dead; a *live* pid (a concurrent shard process sharing the
-  // directory, or ourselves) keeps its temp untouched.
-  std::error_code ec;
-  fs::directory_iterator it(dir_, ec);
-  if (ec) return;
-  const auto self = static_cast<std::uint64_t>(::getpid());
-  for (const fs::directory_entry& de : it) {
-    const std::string name = de.path().filename().string();
-    const std::size_t marker = name.find(std::string(kSuffix) + ".tmp.");
-    if (marker == std::string::npos) continue;
-    std::uint64_t pid = 0;
-    if (!util::parse_u64(name.substr(marker + std::string(kSuffix).size() + 5),
-                         &pid)) {
-      continue;
-    }
-    if (pid == self || pid_alive(pid)) continue;
-    if (fs::remove(de.path(), ec) && !ec) ++stale_removed_;
-  }
-  if (stale_removed_ != 0) {
-    obs::diag(obs::Severity::kInfo, "checkpoint",
-              "swept " + std::to_string(stale_removed_) +
-                  " stale temp file(s) left by dead writers in " + dir_);
-  }
+  stale_removed_ = blobs_.sweep_stale_temps("checkpoint");
 }
 
 std::string CheckpointStore::blob_path(std::size_t pos) const {
-  char name[32];
-  std::snprintf(name, sizeof name, "run-%06zu%s", pos, kSuffix);
-  return (fs::path(dir_) / name).string();
+  return blobs_.path(blob_stem(pos));
 }
 
 void CheckpointStore::write(std::size_t pos, const RunResult& result) {
@@ -245,7 +202,7 @@ void CheckpointStore::write(std::size_t pos, const RunResult& result) {
   // Warn-and-continue degradation: once the breaker tripped (it warned
   // at trip time, naming the consequence), further writes are silent
   // no-ops — the sweep's results live only in memory from here on.
-  if (!breaker_.allowed()) return;
+  if (blobs_.degraded()) return;
 
   CheckpointRecord rec;
   rec.spec = hash_;
@@ -254,22 +211,17 @@ void CheckpointStore::write(std::size_t pos, const RunResult& result) {
   rec.result = result;
   const std::string text = checkpoint_to_string(rec);
 
-  // Guarded atomic write ("checkpoint.write"): temp-then-rename — a
-  // crash mid-write leaves only a .tmp file behind (ignored by load,
-  // swept on the next open), never a torn .ckpt blob; the pid
-  // qualifier keeps shard processes sharing one directory off each
-  // other's temps.  Transient failures retry with deterministic
-  // backoff; a give-up throws (the runner warns and continues) and
-  // charges the breaker.
-  const std::string final_path = blob_path(pos);
+  // Guarded atomic write ("checkpoint.write"): a crash mid-write
+  // leaves only a temp behind (ignored by load, swept on the next
+  // open), never a torn .ckpt blob.  Transient failures retry with
+  // deterministic backoff; a give-up charges the breaker and throws
+  // (the runner warns and continues).
   try {
-    util::io::write_file_atomic("checkpoint.write", final_path, text);
+    blobs_.write("checkpoint.write", blob_stem(pos), text);
   } catch (const util::io::IoError& e) {
-    breaker_.record_failure();
-    throw std::runtime_error("checkpoint: cannot write " + final_path + ": " +
-                             e.what());
+    throw std::runtime_error("checkpoint: cannot write " + blob_path(pos) +
+                             ": " + e.what());
   }
-  breaker_.record_success();
   OBS_COUNT(c_bytes, static_cast<std::uint64_t>(text.size()));
   OBS_OBSERVE(h_write, obs::Clock::now_ns() - start_ns);
   OBS_INSTANT("checkpoint_write");
@@ -279,23 +231,21 @@ void CheckpointStore::write(std::size_t pos, const RunResult& result) {
 
 std::unordered_map<std::size_t, RunResult> CheckpointStore::load() {
   std::unordered_map<std::size_t, RunResult> out;
-  std::error_code ec;
-  fs::directory_iterator it(dir_, ec);
-  if (ec) return out;
-  for (const fs::directory_entry& de : it) {
-    const fs::path& p = de.path();
-    if (p.extension() != kSuffix) continue;
+  for (const util::io::BlobDir::Entry& blob : blobs_.list()) {
+    const std::string& path = blob.path;
     CheckpointRecord rec;
     try {
       // Guarded read ("checkpoint.read"): transient read failures —
       // real or injected — retry before the blob is declared corrupt.
+      // A give-up is a corrupt blob, not a disk fault: it never
+      // charges the write breaker.
       rec = checkpoint_from_string(
-          util::io::read_file("checkpoint.read", p.string()));
+          blobs_.read("checkpoint.read", blob.stem, false));
     } catch (const std::runtime_error& e) {
       // Torn or unreadable blob: its run re-executes and the rewrite
       // replaces the file.  Loud but non-fatal.
       obs::diag(obs::Severity::kWarn, "checkpoint",
-                p.string() + ": " + e.what() +
+                path + ": " + e.what() +
                     " — ignoring, run will be re-executed");
       std::lock_guard<std::mutex> lock(mu_);
       ++corrupt_;
@@ -306,14 +256,14 @@ std::unordered_map<std::size_t, RunResult> CheckpointStore::load() {
     // silently mixing its results into this report would corrupt it.
     if (rec.spec != hash_) {
       throw std::runtime_error(
-          "checkpoint " + p.string() + ": spec hash " +
-          spec_hash_hex(rec.spec) + " does not match this campaign (" +
-          spec_hash_hex(hash_) +
+          "checkpoint " + path + ": spec hash " +
+          util::hex64(rec.spec) + " does not match this campaign (" +
+          util::hex64(hash_) +
           "); the directory holds a different sweep — use a fresh "
           "--checkpoint directory or delete the stale blobs");
     }
     if (rec.total_runs != runs_.size() || rec.position >= runs_.size()) {
-      throw std::runtime_error("checkpoint " + p.string() +
+      throw std::runtime_error("checkpoint " + path +
                                ": run position " +
                                std::to_string(rec.position) + "/" +
                                std::to_string(rec.total_runs) +
@@ -324,7 +274,7 @@ std::unordered_map<std::size_t, RunResult> CheckpointStore::load() {
     const RunSpec& got = rec.result.spec;
     if (got.circuit != want.circuit || got.tpg != want.tpg ||
         got.cycles != want.cycles || got.solver != want.solver) {
-      throw std::runtime_error("checkpoint " + p.string() + ": run '" +
+      throw std::runtime_error("checkpoint " + path + ": run '" +
                                run_label(got) + "' at position " +
                                std::to_string(rec.position) +
                                " does not match the spec's '" +

@@ -7,9 +7,10 @@
 // it a durable form:
 //
 //  * CheckpointStore persists each completed run as one versioned text
-//    blob ("fbist-ckpt v2", run-<position>.ckpt) in a directory,
-//    written tmp-file-then-rename so a kill mid-write never leaves a
-//    torn blob behind.  Every blob carries the *spec hash* — a content
+//    blob ("fbist-ckpt v2", run-<position>.ckpt) in a util::io::BlobDir
+//    (util/guarded_io.h): atomic writes, so a kill mid-write never
+//    leaves a torn blob behind, and a sweep of dead writers' temps on
+//    open.  Every blob carries the *spec hash* — a content
 //    hash of the canonical run list — plus its position and run
 //    identity; on load, a blob from a different spec is rejected
 //    loudly (the directory belongs to another sweep), while an
@@ -43,7 +44,7 @@
 
 #include "campaign/report.h"
 #include "campaign/spec.h"
-#include "util/breaker.h"
+#include "util/guarded_io.h"
 
 namespace fbist::campaign {
 
@@ -52,9 +53,6 @@ namespace fbist::campaign {
 /// order.  Two specs that expand to the same runs share a hash — and
 /// may share checkpoint directories; anything else is rejected.
 std::uint64_t spec_hash(const CampaignSpec& spec);
-
-/// The hash as the 16-lowercase-hex-digit string used in blobs.
-std::string spec_hash_hex(std::uint64_t h);
 
 /// One parsed checkpoint blob.
 struct CheckpointRecord {
@@ -80,19 +78,15 @@ class CheckpointStore {
   /// Opens `dir` (creating it if needed) for a spec whose canonical
   /// expansion is `runs` (the full expansion, not a shard's slice).
   /// Throws std::runtime_error when the directory cannot be created.
-  /// Opening also sweeps stale `*.ckpt.tmp.<pid>` files left behind by
-  /// killed writers — temps whose pid is dead (and not ours) are
-  /// removed and counted; without the sweep they accumulate forever
-  /// across kill/resume cycles.
+  /// Opening also sweeps stale temps left behind by killed writers
+  /// (util::io::BlobDir::sweep_stale_temps) and counts them.
   CheckpointStore(std::string dir, const CampaignSpec& spec);
 
-  const std::string& dir() const { return dir_; }
-  std::uint64_t hash() const { return hash_; }
-
-  /// Atomically persists `result` for canonical position `pos`
-  /// (tmp-file + rename; the tmp name is pid-qualified so concurrent
-  /// shard processes sharing the directory never collide).  Throws
-  /// std::runtime_error when the blob cannot be written.
+  /// Atomically persists `result` for canonical position `pos`.
+  /// Throws std::runtime_error when the blob cannot be written.  Once
+  /// repeated give-ups tripped the breaker, checkpointing degrades to
+  /// warn-and-continue: later calls are silent no-ops, durability is
+  /// lost, the sweep completes.
   void write(std::size_t pos, const RunResult& result);
 
   /// Scans the directory and returns every valid checkpointed result,
@@ -110,18 +104,11 @@ class CheckpointStore {
   /// Stale dead-writer temp files removed by the opening sweep.
   std::uint64_t stale_tmp_removed() const { return stale_removed_; }
 
-  /// True once repeated write failures tripped the breaker and
-  /// checkpointing degraded to warn-and-continue: later write() calls
-  /// are silent no-ops, durability is lost, the sweep completes.
-  bool degraded() const { return breaker_.tripped(); }
-
   /// Path of position `pos`'s blob (run-<pos>.ckpt inside dir).
   std::string blob_path(std::size_t pos) const;
 
  private:
-  void sweep_stale_temps();
-
-  std::string dir_;
+  util::io::BlobDir blobs_;  // run-<pos>.ckpt; breaker charged by writes
   std::uint64_t hash_ = 0;
   std::vector<RunSpec> runs_;  // full canonical expansion
   std::uint64_t stale_removed_ = 0;  // set once, in the constructor
@@ -129,10 +116,6 @@ class CheckpointStore {
   mutable std::mutex mu_;
   std::uint64_t written_ = 0;
   std::uint64_t corrupt_ = 0;
-
-  /// Trips after consecutive write give-ups; see degraded().
-  util::CircuitBreaker breaker_{
-      "checkpoint store", "checkpointing disabled, durability lost"};
 };
 
 /// Folds the checkpoint sets under `dirs` into the complete report of

@@ -105,19 +105,19 @@ std::string Report::to_json(bool include_timing) const {
     w.begin_array();
     for (const auto& r : runs) w.value_fixed(r.wall_ms, 1);
     w.end_array();
-    if (cache.enabled) {
+    if (cache) {
       w.key("matrix_cache");
       w.begin_object();
       w.key("hits");
-      w.value(cache.hits);
+      w.value(cache->hits);
       w.key("disk_hits");
-      w.value(cache.disk_hits);
+      w.value(cache->disk_hits);
       w.key("misses");
-      w.value(cache.misses);
+      w.value(cache->misses);
       w.key("stores");
-      w.value(cache.stores);
+      w.value(cache->stores);
       w.key("evictions");
-      w.value(cache.evictions);
+      w.value(cache->evictions);
       w.end_object();
     }
     if (checkpoint.enabled) {

@@ -11,11 +11,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "campaign/spec.h"
 #include "obs/metrics.h"
+#include "reseed/matrix_cache.h"
 
 namespace fbist::campaign {
 
@@ -67,20 +69,12 @@ struct Report {
   std::size_t jobs = 0;
   double wall_ms = 0.0;
 
-  /// Matrix-cache counters for the whole campaign (reseed::MatrixCache
-  /// installed via CampaignOptions).  Like timings, these describe how
-  /// the results were produced, not what they are — so they live in the
-  /// "execution" section only and cached/uncached canonical reports
-  /// stay byte-identical.
-  struct CacheStats {
-    bool enabled = false;
-    std::uint64_t hits = 0;
-    std::uint64_t disk_hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t evictions = 0;
-  };
-  CacheStats cache;
+  /// Matrix-cache counters for the whole campaign; empty unless a
+  /// reseed::MatrixCache was installed via CampaignOptions.  Like
+  /// timings, these describe how the results were produced, not what
+  /// they are — so they live in the "execution" section only and
+  /// cached/uncached canonical reports stay byte-identical.
+  std::optional<reseed::MatrixCacheStats> cache;
 
   /// Checkpoint counters (campaign/checkpoint.h, installed via
   /// CampaignOptions::checkpoint_dir).  Execution metadata like the

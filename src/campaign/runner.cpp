@@ -233,15 +233,7 @@ Report run_campaign(const CampaignSpec& spec, const CampaignOptions& opts,
 
   if (store != nullptr) report.checkpoint.written = store->written();
 
-  if (opts.matrix_cache != nullptr) {
-    const reseed::MatrixCacheStats cs = opts.matrix_cache->stats();
-    report.cache.enabled = true;
-    report.cache.hits = cs.hits;
-    report.cache.disk_hits = cs.disk_hits;
-    report.cache.misses = cs.misses;
-    report.cache.stores = cs.stores;
-    report.cache.evictions = cs.evictions;
-  }
+  if (opts.matrix_cache != nullptr) report.cache = opts.matrix_cache->stats();
 
   report.wall_ms = obs::Clock::to_ms(obs::Clock::now_ns() - start_ns);
 

@@ -26,9 +26,9 @@ thread_local std::size_t tls_worker_index = 0;
 
 /// One open parallel_for: a chunked atomic iteration counter plus the
 /// bookkeeping the caller needs to wait for every joiner to drain.
-/// Lives on the caller's stack; `active` and list membership are
-/// guarded by the scheduler mutex so the caller can safely destroy the
-/// job once active reaches zero.
+/// Lives on the caller's stack; `active`, `error` and list membership
+/// are guarded by the scheduler mutex so the caller can safely destroy
+/// the job once active reaches zero.
 struct Scheduler::LoopJob {
   std::size_t n = 0;
   std::size_t chunk = 1;
@@ -36,6 +36,7 @@ struct Scheduler::LoopJob {
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> slots{0};
   std::size_t active = 0;  // caller + joined workers, guarded by mu_
+  std::exception_ptr error;  // first body exception, guarded by mu_
 
   bool exhausted() const {
     return next.load(std::memory_order_relaxed) >= n;
@@ -206,12 +207,20 @@ void Scheduler::participate(LoopJob& job) {
   // always fits loop_slots(); the guard keeps a logic error from
   // scribbling past caller scratch arrays.
   if (slot >= loop_slots()) return;
-  for (;;) {
-    const std::size_t begin =
-        job.next.fetch_add(job.chunk, std::memory_order_relaxed);
-    if (begin >= job.n) break;
-    const std::size_t end = std::min(job.n, begin + job.chunk);
-    for (std::size_t i = begin; i < end; ++i) (*job.body)(i, slot);
+  try {
+    for (;;) {
+      const std::size_t begin =
+          job.next.fetch_add(job.chunk, std::memory_order_relaxed);
+      if (begin >= job.n) break;
+      const std::size_t end = std::min(job.n, begin + job.chunk);
+      for (std::size_t i = begin; i < end; ++i) (*job.body)(i, slot);
+    }
+  } catch (...) {
+    // First throw wins: no further chunks are handed out, and the
+    // caller rethrows it once every participant has drained.
+    job.next.store(job.n, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!job.error) job.error = std::current_exception();
   }
 }
 
@@ -255,6 +264,7 @@ void Scheduler::parallel_for(
   if (job.slots.load(std::memory_order_relaxed) == 1) {
     OBS_COUNT(c_degraded, 1);
   }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void TaskGroup::run(std::function<void()> task) {

@@ -82,7 +82,10 @@ class Scheduler {
   /// Calls fn(i, slot) for every i in [0, n) with slot < loop_slots().
   /// Blocks until the loop is complete; the caller participates, idle
   /// workers join.  Serial for small n — same cutoff as the old
-  /// util::parallel_for, so existing grain expectations hold.
+  /// util::parallel_for, so existing grain expectations hold.  The
+  /// first exception thrown by fn stops the hand-out of further chunks
+  /// (chunks already running finish) and is rethrown on the caller
+  /// once every participant has left the loop.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 

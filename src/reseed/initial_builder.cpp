@@ -1,10 +1,7 @@
 #include "reseed/initial_builder.h"
 
-#include <atomic>
 #include <cassert>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -95,38 +92,25 @@ InitialReseeding build_initial_reseeding(const sim::FaultSim& fsim,
   const std::vector<sim::LanePacking> packings =
       sim::pack_rows(lengths, util::preferred_pack_blocks());
   OBS_COUNTER(c_packings, "builder.packings");
-  // parallel_for does not catch loop-body exceptions, so trap them
-  // here: first throw wins, later packings bail out early, and the
-  // exception resurfaces on the calling thread after the join.  This
-  // is how a deadline expiry (or an injected builder failure) unwinds
-  // a multi-packing build cleanly.
-  std::exception_ptr first_error;
-  std::mutex error_mu;
-  std::atomic<bool> abort{false};
+  // The first throw (a deadline expiry, an injected builder failure)
+  // stops the loop and resurfaces here after the join, unwinding a
+  // multi-packing build cleanly.
   util::parallel_for(packings.size(), [&](std::size_t p) {
-    if (abort.load(std::memory_order_relaxed)) return;
-    try {
-      FBIST_FAILPOINT("builder.pack");
-      if (deadline != nullptr) deadline->check("matrix build");
-      OBS_SPAN("packing");
-      OBS_COUNT(c_packings, 1);
-      const sim::LanePacking& pk = packings[p];
-      sim::PatternSet packed(tpg.width(), pk.num_patterns);
-      for (const sim::LanePacking::Row& pr : pk.rows) {
-        tpg::expand_triplet_into(tpg, out.triplets[pr.row], packed, pr.base);
-      }
-      std::vector<sim::FaultSimResult> rs = fsim.run_packed(packed, pk);
-      for (std::size_t i = 0; i < pk.rows.size(); ++i) {
-        out.matrix.set_row(pk.rows[i].row, std::move(rs[i].detected));
-        earliest[pk.rows[i].row] = std::move(rs[i].earliest);
-      }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
-      abort.store(true, std::memory_order_relaxed);
+    FBIST_FAILPOINT("builder.pack");
+    if (deadline != nullptr) deadline->check("matrix build");
+    OBS_SPAN("packing");
+    OBS_COUNT(c_packings, 1);
+    const sim::LanePacking& pk = packings[p];
+    sim::PatternSet packed(tpg.width(), pk.num_patterns);
+    for (const sim::LanePacking::Row& pr : pk.rows) {
+      tpg::expand_triplet_into(tpg, out.triplets[pr.row], packed, pr.base);
+    }
+    std::vector<sim::FaultSimResult> rs = fsim.run_packed(packed, pk);
+    for (std::size_t i = 0; i < pk.rows.size(); ++i) {
+      out.matrix.set_row(pk.rows[i].row, std::move(rs[i].detected));
+      earliest[pk.rows[i].row] = std::move(rs[i].earliest);
     }
   });
-  if (first_error) std::rethrow_exception(first_error);
   // Final poll before the matrix becomes durable state: an expired
   // deadline must never let a (complete but over-budget) matrix be
   // cached after the run is already doomed to a timeout failure.

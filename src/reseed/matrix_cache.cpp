@@ -1,9 +1,5 @@
 #include "reseed/matrix_cache.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
@@ -18,24 +14,19 @@
 
 namespace fbist::reseed {
 
-namespace fs = std::filesystem;
-
 namespace {
 
-constexpr const char* kSuffix = ".dmx";
+/// A cache directory: <16-hex-key>.dmx blobs behind the disk breaker.
+util::io::BlobDir dmx_dir(const std::string& dir) {
+  return util::io::BlobDir(dir, ".dmx", "matrix-cache disk tier",
+                           "cache degrades to memory-only");
+}
 
 }  // namespace
 
-MatrixCacheStats& MatrixCacheStats::operator+=(const MatrixCacheStats& o) {
-  hits += o.hits;
-  disk_hits += o.disk_hits;
-  misses += o.misses;
-  stores += o.stores;
-  evictions += o.evictions;
-  return *this;
+MatrixCache::MatrixCache(MatrixCacheOptions opts) : disk_(dmx_dir(opts.dir)) {
+  if (!opts.dir.empty()) disk_.sweep_stale_temps("matrix_cache");
 }
-
-MatrixCache::MatrixCache(MatrixCacheOptions opts) : opts_(std::move(opts)) {}
 
 MatrixCache::Key MatrixCache::key(const netlist::CompiledCircuit& cc,
                                   const fault::FaultList& faults,
@@ -114,54 +105,29 @@ std::shared_ptr<const cover::DetectionMatrix> MatrixCache::lookup(Key k) {
   // tier turns off.  A blob that *reads* but does not *parse* is a
   // content problem, not a disk problem: it degrades to a miss without
   // charging the breaker, and the rebuild's store overwrites it.
-  if (!opts_.dir.empty() && disk_breaker_.allowed()) {
-    const std::string path = disk_path(k);
-    std::error_code ec;
-    if (fs::exists(path, ec)) {
-      std::string text;
-      bool read_ok = false;
-      try {
-        text = util::io::read_file("cache.disk_read", path);
-        read_ok = true;
-        disk_breaker_.record_success();
-      } catch (const util::io::IoError& e) {
-        disk_breaker_.record_failure();
-        obs::diag(obs::Severity::kWarn, "matrix_cache",
-                  "cannot read blob " + path + " (" + e.what() +
-                      "), rebuilding");
-      }
-      if (read_ok) {
-        try {
-          auto m = std::make_shared<cover::DetectionMatrix>(
-              matrix_from_string(text));
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.hits;
-          ++stats_.disk_hits;
-          OBS_INSTANT("disk_hit");
-          OBS_OBSERVE(h_disk_hit, obs::Clock::now_ns() - start_ns);
-          const auto it = index_.find(k);  // raced promotion: reuse theirs
-          if (it != index_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return it->second->matrix;
-          }
-          if (opts_.max_memory_entries > 0) {
-            lru_.push_front(Entry{k, m});
-            index_[k] = lru_.begin();
-            while (lru_.size() > opts_.max_memory_entries) {
-              index_.erase(lru_.back().key);
-              lru_.pop_back();
-              ++stats_.evictions;
-            }
-          }
-          return m;
-        } catch (const std::runtime_error& e) {
-          // Corrupt or future-version blob: fall through to a miss;
-          // the rebuild's store overwrites it.
-          obs::diag(obs::Severity::kWarn, "matrix_cache",
-                    "unreadable blob " + path + " (" + e.what() +
-                        "), rebuilding");
-        }
-      }
+  const std::string stem = util::hex64(k);
+  if (!disk_.dir().empty() && !disk_.degraded() && disk_.exists(stem)) {
+    try {
+      std::shared_ptr<const cover::DetectionMatrix> m =
+          std::make_shared<cover::DetectionMatrix>(matrix_from_string(
+              disk_.read("cache.disk_read", stem, true)));
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.hits;
+      ++stats_.disk_hits;
+      OBS_INSTANT("disk_hit");
+      OBS_OBSERVE(h_disk_hit, obs::Clock::now_ns() - start_ns);
+      touch_or_insert_locked(k, m);  // a raced promotion: reuse theirs
+      return m;
+    } catch (const util::io::IoError& e) {
+      obs::diag(obs::Severity::kWarn, "matrix_cache",
+                "cannot read blob " + disk_.path(stem) + " (" + e.what() +
+                    "), rebuilding");
+    } catch (const std::runtime_error& e) {
+      // Corrupt or future-version blob: fall through to a miss; the
+      // rebuild's store overwrites it.
+      obs::diag(obs::Severity::kWarn, "matrix_cache",
+                "unreadable blob " + disk_.path(stem) + " (" + e.what() +
+                    "), rebuilding");
     }
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -174,51 +140,52 @@ void MatrixCache::store(Key k, std::shared_ptr<const cover::DetectionMatrix> m) 
   if (m == nullptr) return;
   OBS_HISTOGRAM(h_store, "matrix_cache.store_ns");
   const std::uint64_t start_ns = obs::Clock::now_ns();
-  bool write_disk = !opts_.dir.empty();
+  bool write_disk = !disk_.dir().empty();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.stores;
-    const auto it = index_.find(k);
-    if (it != index_.end()) {
-      // Concurrent builders of the same key store identical content;
-      // keep the first (already shared with its hitters).
-      lru_.splice(lru_.begin(), lru_, it->second);
-      write_disk = false;
-    } else if (opts_.max_memory_entries > 0) {
-      lru_.push_front(Entry{k, m});
-      index_[k] = lru_.begin();
-      while (lru_.size() > opts_.max_memory_entries) {
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-        ++stats_.evictions;
-      }
-    }
+    // Concurrent builders of the same key store identical content;
+    // keep the first (already shared with its hitters).
+    if (!touch_or_insert_locked(k, m)) write_disk = false;
   }
-  if (!write_disk || !disk_breaker_.allowed()) {
+  if (!write_disk || disk_.degraded()) {
     OBS_OBSERVE(h_store, obs::Clock::now_ns() - start_ns);
     return;
   }
-  // Guarded atomic write ("cache.disk_write"): temp-then-rename keeps
-  // concurrent readers off torn files (pid-qualified temp name, so
-  // concurrent processes do not collide), transient failures retry
-  // with backoff, and a give-up only costs durability — the disk tier
-  // is best-effort, so an unwritable directory degrades the cache to
-  // memory-only rather than failing the build.  Repeated give-ups trip
-  // the breaker and later stores skip the disk entirely.
-  std::error_code ec;
-  fs::create_directories(opts_.dir, ec);
-  const std::string final_path = disk_path(k);
+  // Guarded atomic write ("cache.disk_write"): concurrent readers never
+  // see a torn file, transient failures retry with backoff, and a
+  // give-up only costs durability — the disk tier is best-effort, so
+  // an unwritable directory degrades the cache to memory-only rather
+  // than failing the build.  Repeated give-ups trip the breaker and
+  // later stores skip the disk entirely.
+  disk_.create();
+  const std::string stem = util::hex64(k);
   try {
-    util::io::write_file_atomic("cache.disk_write", final_path,
-                                matrix_to_string(*m));
-    disk_breaker_.record_success();
+    disk_.write("cache.disk_write", stem, matrix_to_string(*m));
   } catch (const util::io::IoError& e) {
-    disk_breaker_.record_failure();
     obs::diag(obs::Severity::kWarn, "matrix_cache",
-              "cannot persist blob " + final_path + " (" + e.what() +
+              "cannot persist blob " + disk_.path(stem) + " (" + e.what() +
                   "), memory tier only");
   }
   OBS_OBSERVE(h_store, obs::Clock::now_ns() - start_ns);
+}
+
+bool MatrixCache::touch_or_insert_locked(
+    Key k, std::shared_ptr<const cover::DetectionMatrix>& m) {
+  const auto it = index_.find(k);
+  if (it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    m = it->second->matrix;
+    return false;
+  }
+  lru_.push_front(Entry{k, m});
+  index_[k] = lru_.begin();
+  while (lru_.size() > kMemoryEntries) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
+  return true;
 }
 
 MatrixCacheStats MatrixCache::stats() const {
@@ -226,47 +193,28 @@ MatrixCacheStats MatrixCache::stats() const {
   return stats_;
 }
 
-std::vector<MatrixCache::DiskEntry> MatrixCache::list_dir(
+std::vector<util::io::BlobDir::Entry> MatrixCache::list_dir(
     const std::string& dir) {
-  std::vector<DiskEntry> entries;
-  std::error_code ec;
-  fs::directory_iterator it(dir, ec);
-  if (ec) return entries;
-  for (const fs::directory_entry& de : it) {
-    const fs::path& p = de.path();
-    if (p.extension() != kSuffix) continue;
+  std::vector<util::io::BlobDir::Entry> entries;
+  for (util::io::BlobDir::Entry& e : dmx_dir(dir).list()) {
     Key k;
-    if (!util::parse_hex64(p.stem().string(), &k)) continue;
-    DiskEntry e;
-    e.key = k;
-    e.path = p.string();
-    e.bytes = de.file_size(ec);
-    if (ec) e.bytes = 0;
-    entries.push_back(std::move(e));
+    if (util::parse_hex64(e.stem, &k)) entries.push_back(std::move(e));
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const DiskEntry& a, const DiskEntry& b) { return a.key < b.key; });
   return entries;
 }
 
 bool MatrixCache::evict_file(const std::string& dir, Key k) {
-  std::error_code ec;
-  return fs::remove(fs::path(dir) / (key_hex(k) + kSuffix), ec) && !ec;
+  return dmx_dir(dir).remove(util::hex64(k));
 }
 
 std::size_t MatrixCache::clear_dir(const std::string& dir) {
+  const util::io::BlobDir disk = dmx_dir(dir);
+  disk.sweep_stale_temps("matrix_cache");
   std::size_t removed = 0;
-  for (const DiskEntry& e : list_dir(dir)) {
-    std::error_code ec;
-    if (fs::remove(e.path, ec) && !ec) ++removed;
+  for (const util::io::BlobDir::Entry& e : list_dir(dir)) {
+    if (disk.remove(e.stem)) ++removed;
   }
   return removed;
-}
-
-std::string MatrixCache::key_hex(Key k) { return util::hex64(k); }
-
-std::string MatrixCache::disk_path(Key k) const {
-  return (fs::path(opts_.dir) / (key_hex(k) + kSuffix)).string();
 }
 
 }  // namespace fbist::reseed

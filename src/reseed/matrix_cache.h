@@ -11,13 +11,14 @@
 //
 // Two tiers:
 //   - in-memory LRU of shared_ptr<const DetectionMatrix> entries,
-//     bounded by max_memory_entries (thread-safe; campaign workers
-//     share one cache);
+//     bounded by kMemoryEntries (thread-safe; campaign workers share
+//     one cache);
 //   - optional on-disk tier (options.dir): write-through "fbist-dmx v1"
-//     files named <16-hex-key>.dmx (reseed/serialize.h), written
-//     temp-then-rename so concurrent writers and readers never see a
-//     torn file.  Future-version files are rejected loudly by the
-//     serializer and treated as misses.
+//     blobs named <16-hex-key>.dmx (reseed/serialize.h) in a
+//     util::io::BlobDir (util/guarded_io.h).  Its atomic writes keep
+//     concurrent readers off torn files; its dead-writer temp sweep
+//     runs on open and in `fbist cache clear`.  Future-version files
+//     are rejected loudly by the serializer and treated as misses.
 //
 // Entries are immutable once stored; hits hand out the shared_ptr, so
 // a hit costs a hash plus a pointer copy, never a matrix copy.
@@ -36,7 +37,7 @@
 #include "netlist/compiled.h"
 #include "tpg/tpg.h"
 #include "tpg/triplet.h"
-#include "util/breaker.h"
+#include "util/guarded_io.h"
 
 namespace fbist::reseed {
 
@@ -44,9 +45,6 @@ struct MatrixCacheOptions {
   /// On-disk tier directory; empty disables the disk tier.  Created on
   /// first store if missing.
   std::string dir;
-  /// In-memory LRU capacity (entries).  Zero disables the memory tier
-  /// (every hit then reloads from disk).
-  std::size_t max_memory_entries = 16;
 };
 
 /// Monotonic counters; hits = memory hits + disk_hits.
@@ -56,14 +54,17 @@ struct MatrixCacheStats {
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
   std::uint64_t evictions = 0;
-
-  MatrixCacheStats& operator+=(const MatrixCacheStats& o);
 };
 
 class MatrixCache {
  public:
   using Key = std::uint64_t;
 
+  /// In-memory LRU capacity (entries).
+  static constexpr std::size_t kMemoryEntries = 16;
+
+  /// Opening a cache with a directory sweeps the dead-writer temps in
+  /// it (util::io::BlobDir::sweep_stale_temps).
   explicit MatrixCache(MatrixCacheOptions opts = {});
 
   /// Content hash of a matrix build.  The candidate triplets enter
@@ -85,34 +86,35 @@ class MatrixCache {
   void store(Key k, std::shared_ptr<const cover::DetectionMatrix> m);
 
   MatrixCacheStats stats() const;
-  const MatrixCacheOptions& options() const { return opts_; }
 
   /// True once repeated disk-tier failures tripped the breaker and the
   /// cache degraded to memory-only (reads and writes skip the disk for
   /// the rest of the process; results are unaffected, only reuse is).
-  bool disk_degraded() const { return disk_breaker_.tripped(); }
+  bool disk_degraded() const { return disk_.degraded(); }
 
-  /// One on-disk entry, for `fbist cache list`.
-  struct DiskEntry {
-    Key key = 0;
-    std::string path;
-    std::uintmax_t bytes = 0;
-  };
-  /// Lists a cache directory's entries (sorted by key; never throws —
-  /// a missing directory lists empty).
-  static std::vector<DiskEntry> list_dir(const std::string& dir);
+  /// Lists a cache directory's entries, for `fbist cache list`: blobs
+  /// whose stem is a key in util::hex64 form, so stem order is key
+  /// order.  Never throws; a missing directory lists empty.
+  static std::vector<util::io::BlobDir::Entry> list_dir(const std::string& dir);
   /// Removes one entry; returns false when absent.
   static bool evict_file(const std::string& dir, Key k);
-  /// Removes every entry; returns the number removed.
+  /// Sweeps dead-writer temps, then removes every entry; returns the
+  /// number of entries removed.
   static std::size_t clear_dir(const std::string& dir);
 
-  /// "0123456789abcdef" form used in file names and CLI output.
-  static std::string key_hex(Key k);
-
  private:
-  std::string disk_path(Key k) const;
+  /// Makes `k` the most recently used memory entry.  An entry already
+  /// resident (a raced promotion, a concurrent builder's identical
+  /// store) wins: `m` becomes it and false is returned.  Else `m` goes
+  /// in, the LRU tail past kMemoryEntries is evicted, and true is
+  /// returned.  Caller holds mu_.
+  bool touch_or_insert_locked(
+      Key k, std::shared_ptr<const cover::DetectionMatrix>& m);
 
-  MatrixCacheOptions opts_;
+  /// <hex-key>.dmx blobs; an empty dir() means no disk tier.  Its
+  /// breaker trips after consecutive disk-tier I/O failures (reads or
+  /// writes) and turns the tier off for this process.
+  util::io::BlobDir disk_;
 
   mutable std::mutex mu_;
   struct Entry {
@@ -122,11 +124,6 @@ class MatrixCache {
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator> index_;
   MatrixCacheStats stats_;
-
-  /// Trips after consecutive disk-tier I/O failures (reads or writes);
-  /// a tripped breaker turns the disk tier off for this process.
-  util::CircuitBreaker disk_breaker_{
-      "matrix-cache disk tier", "cache degrades to memory-only"};
 };
 
 }  // namespace fbist::reseed

@@ -4,21 +4,6 @@
 
 namespace fbist::reseed {
 
-void append_table1_row(util::Table& table, const std::string& circuit,
-                       const std::vector<Table1Cell>& cells) {
-  std::vector<std::string> row = {circuit};
-  for (const auto& c : cells) {
-    if (!c.available) {
-      row.push_back("-");
-      row.push_back("-");
-    } else {
-      row.push_back(std::to_string(c.num_triplets));
-      row.push_back(std::to_string(c.test_length));
-    }
-  }
-  table.add_row(std::move(row));
-}
-
 std::string solution_to_string(const ReseedingSolution& sol,
                                const std::string& label) {
   std::ostringstream ss;
@@ -38,15 +23,6 @@ std::string solution_to_string(const ReseedingSolution& sol,
        << (st.necessary ? " [necessary]" : "") << "\n";
   }
   return ss.str();
-}
-
-Table2Cell table2_cell(const ReseedingSolution& sol) {
-  Table2Cell c;
-  c.necessary = sol.necessary_count;
-  c.from_solver = sol.solver_count;
-  c.residual_rows = sol.residual_rows;
-  c.residual_cols = sol.residual_cols;
-  return c;
 }
 
 }  // namespace fbist::reseed

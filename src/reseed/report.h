@@ -1,39 +1,15 @@
-// Rendering of reseeding solutions in the paper's table formats.
+// Human-readable rendering of a reseeding solution.
 #pragma once
 
-#include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "reseed/optimizer.h"
-#include "util/table.h"
 
 namespace fbist::reseed {
-
-/// One Table-1 style row: circuit x TPG -> (#Triplets, Test Length).
-struct Table1Cell {
-  std::size_t num_triplets = 0;
-  std::size_t test_length = 0;
-  bool available = true;  // false renders as "-" (GATSBY on big circuits)
-};
-
-/// Appends a Table-1 row for `circuit` spanning all TPG cells.
-void append_table1_row(util::Table& table, const std::string& circuit,
-                       const std::vector<Table1Cell>& cells);
 
 /// Renders a single solution as a multi-line human-readable block
 /// (selected triplets, necessity flags, trimmed lengths, coverage).
 std::string solution_to_string(const ReseedingSolution& sol,
                                const std::string& label = {});
-
-/// One Table-2 style summary for a solution.
-struct Table2Cell {
-  std::size_t necessary = 0;
-  std::size_t from_solver = 0;
-  std::size_t residual_rows = 0;
-  std::size_t residual_cols = 0;
-};
-
-Table2Cell table2_cell(const ReseedingSolution& sol);
 
 }  // namespace fbist::reseed

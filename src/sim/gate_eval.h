@@ -1,8 +1,9 @@
 // Internal: inlined bit-parallel gate evaluation over compiled fanin
-// spans.  Shared by the good-value schedule walk (logic_sim.cpp) and the
-// fault-cone walk (fault_sim.cpp); reading fanins through `load` lets
-// the fault simulator overlay faulty values without copying into a
-// fanin buffer first (the seed path's main per-gate overhead).
+// spans, reading each fanin through `load`.  Its one caller is the
+// good-value schedule walk (logic_sim.cpp).  The fault-cone walk
+// (fault_sim.cpp) keeps its own gate switch: it evaluates N-block
+// WordV chunks over a packed cone program, not 64-bit words over
+// compiled fanin spans.
 #pragma once
 
 #include <cstddef>

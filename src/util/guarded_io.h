@@ -17,16 +17,20 @@
 //      give-ups are counted (io.retries / io.giveups) so a --metrics
 //      snapshot shows how hard the disk fought back.
 //
-// Writers are atomic: payload lands in `path + ".tmp.<pid>"`, is
-// flush-checked, then renamed over the target — a torn write can leave
-// a stale temp (swept by CheckpointStore on open) but never a
-// half-written final file.
+// Writers are atomic: payload lands in the temp `path + ".tmp.<pid>"`,
+// is flush-checked, then renamed over the target — a torn write can
+// leave a stale temp (BlobDir sweeps those whose writer is dead) but
+// never a half-written final file.  The pid qualifier keeps processes
+// sharing a directory off each other's temps.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "util/breaker.h"
 
 namespace fbist::util::io {
 
@@ -72,5 +76,62 @@ void write_file_atomic(const char* site, const std::string& path,
 /// `site` on each attempt.  A missing file is a permanent IoError.
 std::string read_file(const char* site, const std::string& path,
                       const RetryPolicy& policy = RetryPolicy{});
+
+/// A directory of blobs: files named <stem><suffix>.  Every other name
+/// in it, the temps of write_file_atomic included, is ignored.  Writes
+/// and reads are the guarded helpers above at a failpoint site the
+/// caller names; a CircuitBreaker latches repeated give-ups.  The
+/// checkpoint store (run-<position>.ckpt) and the matrix cache's disk
+/// tier (<16-hex-key>.dmx) are each a BlobDir plus their text format.
+class BlobDir {
+ public:
+  struct Entry {
+    std::string stem;
+    std::string path;
+    std::uintmax_t bytes = 0;
+  };
+
+  /// Names the directory without touching the disk; `breaker_name` and
+  /// `degradation` label the breaker's trip warning.
+  BlobDir(std::string dir, std::string suffix, std::string breaker_name,
+          std::string degradation);
+
+  const std::string& dir() const { return dir_; }
+  /// <dir>/<stem><suffix>.
+  std::string path(const std::string& stem) const;
+  /// Creates the directory and its parents; false if it is still not a
+  /// directory afterwards.
+  bool create() const;
+  bool exists(const std::string& stem) const;
+
+  /// Atomically writes blob `stem`.  A success resets the breaker; an
+  /// IoError give-up charges it and propagates.
+  void write(const char* site, const std::string& stem,
+             const std::string& payload);
+  /// Reads blob `stem`; an IoError give-up propagates.  The breaker sees
+  /// the outcome only with `charge_breaker` (the cache's policy; the
+  /// checkpoint store counts an unreadable blob as corrupt instead).
+  std::string read(const char* site, const std::string& stem,
+                   bool charge_breaker);
+
+  /// Every blob, sorted by stem; a missing directory lists empty.
+  std::vector<Entry> list() const;
+  /// Removes blob `stem`; false when absent.
+  bool remove(const std::string& stem) const;
+
+  /// Removes every blob temp whose writer pid is dead (and not ours),
+  /// noting the count in a `component` diagnostic.  Without the sweep,
+  /// temps of writers killed mid-write pile up across kill/resume
+  /// cycles; a live writer's temp stays.
+  std::uint64_t sweep_stale_temps(const char* component) const;
+
+  /// True once the breaker tripped: callers skip the disk from then on.
+  bool degraded() const { return breaker_.tripped(); }
+
+ private:
+  std::string dir_;
+  std::string suffix_;
+  CircuitBreaker breaker_;
+};
 
 }  // namespace fbist::util::io

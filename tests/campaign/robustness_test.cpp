@@ -143,10 +143,7 @@ TEST_F(RobustnessTest, TruncatedCacheBlobDegradesToAMissAndIsRebuilt) {
   // A partial file must never parse as a valid matrix.
   const auto entries = reseed::MatrixCache::list_dir(dir);
   ASSERT_FALSE(entries.empty());
-  const std::string victim =
-      (fs::path(dir) / (reseed::MatrixCache::key_hex(entries.front().key) +
-                        ".dmx"))
-          .string();
+  const std::string victim = entries.front().path;
   ASSERT_TRUE(fs::exists(victim));
   {
     std::ofstream out(victim, std::ios::trunc);
@@ -161,8 +158,8 @@ TEST_F(RobustnessTest, TruncatedCacheBlobDegradesToAMissAndIsRebuilt) {
   // Content corruption is not a disk fault: the tier stays up, the
   // intact blobs still hit, the torn one rebuilt.
   EXPECT_FALSE(copts.matrix_cache->disk_degraded());
-  EXPECT_EQ(report.cache.disk_hits, 3u);
-  EXPECT_EQ(report.cache.misses, 1u);
+  EXPECT_EQ(report.cache->disk_hits, 3u);
+  EXPECT_EQ(report.cache->misses, 1u);
   fs::remove_all(dir);
 }
 
@@ -190,8 +187,8 @@ TEST_F(RobustnessTest, UnreadableCacheDiskTierTripsTheBreakerAndDegrades) {
   const Report report = run_campaign(spec, copts, &sched);
   EXPECT_EQ(report.to_json(), fresh.to_json());
   EXPECT_TRUE(copts.matrix_cache->disk_degraded());
-  EXPECT_EQ(report.cache.disk_hits, 0u);
-  EXPECT_EQ(report.cache.misses, 4u);
+  EXPECT_EQ(report.cache->disk_hits, 0u);
+  EXPECT_EQ(report.cache->misses, 4u);
   fs::remove_all(dir);
 }
 

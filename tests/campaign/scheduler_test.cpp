@@ -36,6 +36,32 @@ TEST(Scheduler, ParallelForSlotsWithinBound) {
   EXPECT_FALSE(bad.load());
 }
 
+TEST(Scheduler, ParallelForRethrowsBodyExceptionOnCaller) {
+  Scheduler sched(4);
+  const std::size_t n = 10000;
+  try {
+    sched.parallel_for(n, [](std::size_t i, std::size_t) {
+      if (i == 4321) throw std::runtime_error("boom at 4321");
+    });
+    FAIL() << "parallel_for swallowed the body's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom at 4321");
+  }
+  // Every participant throwing — pool workers included — still hands
+  // exactly one exception back instead of terminating the process.
+  EXPECT_THROW(sched.parallel_for(n,
+                                  [](std::size_t, std::size_t) {
+                                    throw std::logic_error("every index");
+                                  }),
+               std::logic_error);
+  // The pool is intact: the next loop runs to completion.
+  std::vector<std::atomic<int>> hits(n);
+  sched.parallel_for(n, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
 TEST(Scheduler, SmallLoopRunsSerialOnCaller) {
   Scheduler sched(4);
   std::set<std::size_t> slots;

@@ -24,6 +24,7 @@
 #include "reseed/serialize.h"
 #include "tpg/tpg.h"
 #include "util/failpoint.h"
+#include "util/record.h"
 #include "util/rng.h"
 
 namespace fbist {
@@ -166,14 +167,14 @@ TEST(FormatGolden, MatrixCacheKeyIsPinned) {
   const reseed::MatrixCache::Key k =
       reseed::MatrixCache::key(cc, faults, *tpg, candidates);
   EXPECT_EQ(k, 0xe95570ed87e52d4full);
-  EXPECT_EQ(reseed::MatrixCache::key_hex(k), "e95570ed87e52d4f");
+  EXPECT_EQ(util::hex64(k), "e95570ed87e52d4f");
 }
 
 TEST(FormatGolden, SpecHashIsPinned) {
   const std::uint64_t h =
       campaign::spec_hash(campaign::parse_spec_string(kSpec));
   EXPECT_EQ(h, 0x955c1faa4f9ef76bull);
-  EXPECT_EQ(campaign::spec_hash_hex(h), "955c1faa4f9ef76b");
+  EXPECT_EQ(util::hex64(h), "955c1faa4f9ef76b");
 }
 
 TEST(FormatGolden, HashStringIsPinned) {

@@ -3,6 +3,8 @@
 // through build_initial_reseeding.
 #include "reseed/matrix_cache.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +17,7 @@
 #include "reseed/initial_builder.h"
 #include "sim/fault_sim.h"
 #include "tpg/lfsr.h"
+#include "util/record.h"
 #include "util/rng.h"
 
 namespace fbist::reseed {
@@ -129,16 +132,15 @@ TEST(MatrixCache, MemoryHitReturnsSameEntry) {
 }
 
 TEST(MatrixCache, LruEvictsLeastRecentlyUsed) {
-  MatrixCacheOptions opts;
-  opts.max_memory_entries = 2;
-  MatrixCache cache(opts);
-  cache.store(1, tiny_matrix(1, 1));
-  cache.store(2, tiny_matrix(2, 2));
+  MatrixCache cache;
+  const MatrixCache::Key cap = MatrixCache::kMemoryEntries;
+  for (MatrixCache::Key k = 1; k <= cap; ++k) cache.store(k, tiny_matrix(1, 1));
   EXPECT_NE(cache.lookup(1), nullptr);  // touch 1: now 2 is LRU
-  cache.store(3, tiny_matrix(3, 3));    // evicts 2
+  cache.store(cap + 1, tiny_matrix(3, 3));  // evicts 2
   EXPECT_NE(cache.lookup(1), nullptr);
-  EXPECT_NE(cache.lookup(3), nullptr);
+  EXPECT_NE(cache.lookup(cap + 1), nullptr);
   EXPECT_EQ(cache.lookup(2), nullptr);
+  EXPECT_NE(cache.lookup(3), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -169,9 +171,40 @@ TEST(MatrixCache, DiskTierSurvivesNewInstance) {
   EXPECT_EQ(reader.stats().hits, 2u);
 
   EXPECT_EQ(MatrixCache::list_dir(dir).size(), 1u);
-  EXPECT_EQ(MatrixCache::list_dir(dir)[0].key, 7u);
+  EXPECT_EQ(MatrixCache::list_dir(dir)[0].stem, util::hex64(7));
   EXPECT_TRUE(MatrixCache::evict_file(dir, 7));
   EXPECT_FALSE(MatrixCache::evict_file(dir, 7));
+  EXPECT_TRUE(MatrixCache::list_dir(dir).empty());
+  fs::remove_all(dir);
+}
+
+// A writer killed inside store() leaves its pid-qualified temp behind.
+// Opening the cache sweeps every temp whose writer is dead (pid 4194303,
+// the kernel pid_max ceiling, is certainly dead) and keeps a live one
+// (ours); `cache clear` sweeps too, and no listing ever shows a temp.
+TEST(MatrixCache, OpeningSweepsDeadWriterTemps) {
+  const std::string dir = ::testing::TempDir() + "fbist_mc_sweep";
+  fs::remove_all(dir);
+  MatrixCacheOptions opts;
+  opts.dir = dir;
+  MatrixCache(opts).store(5, tiny_matrix(2, 3));
+  const std::string dead = dir + "/" + util::hex64(6) + ".dmx.tmp.4194303";
+  const std::string live =
+      dir + "/" + util::hex64(7) + ".dmx.tmp." + std::to_string(::getpid());
+  { std::ofstream(dead) << "torn"; }
+  { std::ofstream(live) << "in flight"; }
+  ASSERT_EQ(MatrixCache::list_dir(dir).size(), 1u);
+
+  const MatrixCache reopened(opts);
+  EXPECT_FALSE(fs::exists(dead));
+  EXPECT_TRUE(fs::exists(live));
+  ASSERT_EQ(MatrixCache::list_dir(dir).size(), 1u);
+  EXPECT_EQ(MatrixCache::list_dir(dir)[0].stem, util::hex64(5));
+
+  { std::ofstream(dead) << "torn again"; }
+  EXPECT_EQ(MatrixCache::clear_dir(dir), 1u);  // entries only
+  EXPECT_FALSE(fs::exists(dead));
+  EXPECT_TRUE(fs::exists(live));
   EXPECT_TRUE(MatrixCache::list_dir(dir).empty());
   fs::remove_all(dir);
 }
@@ -181,11 +214,11 @@ TEST(MatrixCache, CorruptOrFutureVersionDiskFilesMiss) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   {
-    std::ofstream f(dir + "/" + MatrixCache::key_hex(1) + ".dmx");
+    std::ofstream f(dir + "/" + util::hex64(1) + ".dmx");
     f << "garbage\n";
   }
   {
-    std::ofstream f(dir + "/" + MatrixCache::key_hex(2) + ".dmx");
+    std::ofstream f(dir + "/" + util::hex64(2) + ".dmx");
     f << "fbist-dmx v9\ndims 1 1\nhas-earliest 0\nrow 0 0000000000000001\n";
   }
   MatrixCacheOptions opts;
@@ -212,7 +245,7 @@ TEST(MatrixCache, BlobWithImpossibleDimsMisses) {
       "fbist-dmx v1\ndims 1 4000000000000\nhas-earliest 0\nrow 0 0\n",
   };
   for (std::size_t i = 0; i < blobs.size(); ++i) {
-    std::ofstream f(dir + "/" + MatrixCache::key_hex(i) + ".dmx");
+    std::ofstream f(dir + "/" + util::hex64(i) + ".dmx");
     f << blobs[i];
   }
   MatrixCacheOptions opts;

@@ -21,18 +21,6 @@ ReseedingSolution sample_solution() {
   return optimize(build_initial_reseeding(fsim, tpg, atpg.patterns, opts));
 }
 
-TEST(Report, Table1RowRendersCells) {
-  util::Table t;
-  t.set_header({"circuit", "a#", "alen", "b#", "blen"});
-  append_table1_row(t, "c432", {{5, 100, true}, {0, 0, false}});
-  ASSERT_EQ(t.row_count(), 1u);
-  EXPECT_EQ(t.row(0)[0], "c432");
-  EXPECT_EQ(t.row(0)[1], "5");
-  EXPECT_EQ(t.row(0)[2], "100");
-  EXPECT_EQ(t.row(0)[3], "-");
-  EXPECT_EQ(t.row(0)[4], "-");
-}
-
 TEST(Report, SolutionStringMentionsKeyNumbers) {
   const auto sol = sample_solution();
   const std::string s = solution_to_string(sol, "label");
@@ -54,15 +42,6 @@ TEST(Report, SolutionStringMarksNecessary) {
   if (sol.necessary_count > 0) {
     EXPECT_NE(solution_to_string(sol).find("[necessary]"), std::string::npos);
   }
-}
-
-TEST(Report, Table2CellMirrorsSolution) {
-  const auto sol = sample_solution();
-  const Table2Cell c = table2_cell(sol);
-  EXPECT_EQ(c.necessary, sol.necessary_count);
-  EXPECT_EQ(c.from_solver, sol.solver_count);
-  EXPECT_EQ(c.residual_rows, sol.residual_rows);
-  EXPECT_EQ(c.residual_cols, sol.residual_cols);
 }
 
 }  // namespace

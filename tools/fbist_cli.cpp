@@ -282,11 +282,11 @@ campaign::CampaignSpec campaign_spec(const Args& a) {
 
 void print_report(const campaign::Report& report, const Args& a) {
   std::cout << report.summary();
-  if (report.cache.enabled) {
-    std::cout << "matrix cache: " << report.cache.hits << " hits ("
-              << report.cache.disk_hits << " from disk), "
-              << report.cache.misses << " misses, " << report.cache.stores
-              << " stored, " << report.cache.evictions << " evicted\n";
+  if (report.cache) {
+    std::cout << "matrix cache: " << report.cache->hits << " hits ("
+              << report.cache->disk_hits << " from disk), "
+              << report.cache->misses << " misses, " << report.cache->stores
+              << " stored, " << report.cache->evictions << " evicted\n";
   }
   if (report.checkpoint.enabled) {
     std::cout << "checkpoints: " << report.checkpoint.resumed << " resumed, "
@@ -355,7 +355,7 @@ int cmd_cache_list(const Args& a) {
   const auto entries = reseed::MatrixCache::list_dir(a.pos[0]);
   std::uintmax_t total = 0;
   for (const auto& e : entries) {
-    std::cout << reseed::MatrixCache::key_hex(e.key) << "  " << e.bytes
+    std::cout << e.stem << "  " << e.bytes
               << " bytes\n";
     total += e.bytes;
   }
