@@ -14,7 +14,6 @@
 #include "atpg/engine.h"
 #include "atpg/scoap.h"
 #include "bist/misr.h"
-#include "campaign/runner.h"
 #include "circuits/registry.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -191,66 +190,6 @@ void BM_MisrSignature(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_MisrSignature)->Unit(benchmark::kMicrosecond);
-
-// ---- Campaign scaling ----------------------------------------------------
-//
-// Wall-clock of one registry sweep (3 circuits x 2 TPG kinds = 6 runs
-// sharing 3 prepared circuits) at 1/2/4/8 workers.  The speedup is the
-// ratio of the real_time rows; results are bit-identical at every
-// worker count (the determinism tests pin that), so this isolates pure
-// scheduling behavior.  Near-linear scaling requires real cores —
-// ratios read on a 1-2 core container only show composition overhead.
-void BM_CampaignSweep(benchmark::State& state) {
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  campaign::Scheduler::global().set_workers(jobs);
-  campaign::CampaignSpec spec;
-  spec.circuits = {"c432", "c880", "c1355"};
-  spec.tpgs = {tpg::TpgKind::kAdder, tpg::TpgKind::kLfsr};
-  spec.cycle_values = {32};
-  for (auto _ : state) {
-    auto report = campaign::run_campaign(spec);
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 6);
-  campaign::Scheduler::global().set_workers(0);  // restore the default
-}
-BENCHMARK(BM_CampaignSweep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Single prepared circuit, N runs fanned out over the shared handle —
-// the within-circuit scaling path (no ATPG in the timed region).
-void BM_CampaignSharedPipeline(benchmark::State& state) {
-  const auto jobs = static_cast<std::size_t>(state.range(0));
-  campaign::Scheduler::global().set_workers(jobs);
-  const auto prepared = std::make_shared<const reseed::Pipeline>("c880");
-  const std::vector<tpg::TpgKind> kinds = {
-      tpg::TpgKind::kAdder, tpg::TpgKind::kSubtracter,
-      tpg::TpgKind::kMultiplier, tpg::TpgKind::kLfsr};
-  for (auto _ : state) {
-    campaign::TaskGroup group(campaign::Scheduler::global());
-    std::vector<reseed::ReseedingSolution> sols(kinds.size());
-    for (std::size_t i = 0; i < kinds.size(); ++i) {
-      group.run([&prepared, &sols, &kinds, i] {
-        sols[i] = prepared->run({kinds[i], 32});
-      });
-    }
-    group.wait();
-    benchmark::DoNotOptimize(sols);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kinds.size()));
-  campaign::Scheduler::global().set_workers(0);
-}
-BENCHMARK(BM_CampaignSharedPipeline)
-    ->Arg(1)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // ---- Lane-packed detection-matrix build ----------------------------------
 //

@@ -128,7 +128,6 @@ class CircuitCnf {
   /// Emits one full combinational copy; returns its frame index.
   std::size_t add_timeframe();
 
-  std::size_t num_timeframes() const { return frames_.size(); }
   SatVar var(std::size_t frame, netlist::NetId net) const {
     return frames_[frame][net];
   }

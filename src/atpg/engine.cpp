@@ -150,8 +150,8 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
     simulate_and_drop(pr.pattern, &pr.care, fid);
   }
 
-  // ---- Phase 3: reverse-order compaction ------------------------------
-  if (opts.compact && pool.size() > 1) {
+  // ---- Phase 3: reverse-order compaction (always) ---------------------
+  if (pool.size() > 1) {
     // Re-simulate patterns one at a time in reverse order against the
     // detected fault set; keep a pattern only if it detects a fault not
     // yet covered by the patterns kept so far.

@@ -9,8 +9,9 @@
 //      is fault-simulated against all remaining faults and drops every
 //      fault it catches; a SAT model is accepted only if that campaign
 //      catches its target;
-//   3. reverse-order compaction: patterns are fault-simulated in reverse
-//      order; patterns that detect no yet-undetected fault are dropped.
+//   3. reverse-order compaction, which always runs: patterns are
+//      fault-simulated in reverse order; patterns that detect no
+//      yet-undetected fault are dropped.
 //
 // Output: a compacted complete test set plus the per-fault verdicts
 // (detected / proven redundant / aborted).
@@ -32,7 +33,6 @@ namespace fbist::atpg {
 
 struct AtpgOptions {
   PodemOptions podem;
-  bool compact = true;  // reverse-order compaction pass
   /// SAT escalation: when PODEM aborts on a fault, hand it to
   /// atpg::SatEngine, which either produces a validated test pattern or
   /// a redundancy certificate (see sat_engine.h).  On by default —

@@ -5,9 +5,6 @@
 
 namespace fbist::bist {
 
-using netlist::GateType;
-using netlist::NetId;
-
 Misr::Misr(std::size_t width, std::vector<std::size_t> taps)
     : width_(width), taps_(std::move(taps)) {
   if (width_ == 0) throw std::invalid_argument("Misr: zero width");
@@ -64,79 +61,6 @@ util::WideWord golden_signature(const netlist::Netlist& nl,
                                 const sim::PatternSet& patterns,
                                 const Misr& misr) {
   return misr.signature(golden_responses(nl, patterns));
-}
-
-namespace {
-
-/// Output response of the faulty circuit for one pattern (serial
-/// evaluation with the fault net forced).
-util::WideWord faulty_response(const netlist::Netlist& nl,
-                               const fault::Fault& f,
-                               const util::WideWord& pattern) {
-  std::vector<bool> v(nl.num_nets(), false);
-  for (std::size_t i = 0; i < nl.num_inputs(); ++i) {
-    v[nl.inputs()[i]] = pattern.get_bit(i);
-  }
-  if (nl.gate(f.net).type == GateType::kInput) v[f.net] = f.stuck_value;
-  for (NetId id = 0; id < nl.num_nets(); ++id) {
-    const auto& g = nl.gate(id);
-    if (g.type != GateType::kInput) {
-      bool r = v[g.fanin[0]];
-      switch (g.type) {
-        case GateType::kBuf: break;
-        case GateType::kNot: r = !r; break;
-        case GateType::kAnd:
-        case GateType::kNand:
-          for (std::size_t i = 1; i < g.fanin.size(); ++i) r = r && v[g.fanin[i]];
-          if (g.type == GateType::kNand) r = !r;
-          break;
-        case GateType::kOr:
-        case GateType::kNor:
-          for (std::size_t i = 1; i < g.fanin.size(); ++i) r = r || v[g.fanin[i]];
-          if (g.type == GateType::kNor) r = !r;
-          break;
-        case GateType::kXor:
-        case GateType::kXnor:
-          for (std::size_t i = 1; i < g.fanin.size(); ++i) r = r != v[g.fanin[i]];
-          if (g.type == GateType::kXnor) r = !r;
-          break;
-        default: break;
-      }
-      v[id] = r;
-    }
-    if (id == f.net) v[id] = f.stuck_value;
-  }
-  util::WideWord resp(nl.num_outputs());
-  for (std::size_t i = 0; i < nl.num_outputs(); ++i) {
-    resp.set_bit(i, v[nl.outputs()[i]]);
-  }
-  return resp;
-}
-
-}  // namespace
-
-std::vector<std::size_t> aliased_faults(const netlist::Netlist& nl,
-                                        const fault::FaultList& faults,
-                                        const std::vector<std::size_t>& fault_ids,
-                                        const sim::PatternSet& patterns,
-                                        const Misr& misr) {
-  const util::WideWord golden = golden_signature(nl, patterns, misr);
-  const auto golden_resp = golden_responses(nl, patterns);
-
-  std::vector<std::size_t> aliased;
-  for (const std::size_t fid : fault_ids) {
-    const fault::Fault& f = faults[fid];
-    std::vector<util::WideWord> responses;
-    responses.reserve(patterns.size());
-    bool any_diff = false;
-    for (std::size_t p = 0; p < patterns.size(); ++p) {
-      responses.push_back(faulty_response(nl, f, patterns.pattern(p)));
-      if (!(responses.back() == golden_resp[p])) any_diff = true;
-    }
-    if (!any_diff) continue;  // fault not detected at the outputs at all
-    if (misr.signature(responses) == golden) aliased.push_back(fid);
-  }
-  return aliased;
 }
 
 }  // namespace fbist::bist

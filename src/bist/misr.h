@@ -5,8 +5,7 @@
 // into a signature register every cycle and only the final signature is
 // compared against a fault-free ("golden") value.  This module provides
 // that substrate so the examples/CLI can emit a complete BIST plan
-// (triplets + golden signatures) and so aliasing — a faulty response
-// stream colliding with the golden signature — can be quantified.
+// (triplets + golden signatures).
 //
 // Structure: a w-bit Fibonacci LFSR whose state is XORed with the w-bit
 // UUT response each clock:
@@ -18,7 +17,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "fault/fault.h"
 #include "netlist/netlist.h"
 #include "sim/logic_sim.h"
 #include "sim/pattern.h"
@@ -59,17 +57,5 @@ std::vector<util::WideWord> golden_responses(const netlist::Netlist& nl,
 util::WideWord golden_signature(const netlist::Netlist& nl,
                                 const sim::PatternSet& patterns,
                                 const Misr& misr);
-
-/// Aliasing measurement: for each fault id listed in `fault_ids`,
-/// simulates the faulty circuit over `patterns`, compacts the faulty
-/// response stream and compares against the golden signature.  Returns
-/// the ids of *aliased* faults — detected at the outputs but invisible
-/// in the signature.  (Theory: aliasing probability ~ 2^-width for a
-/// well-formed MISR.)
-std::vector<std::size_t> aliased_faults(const netlist::Netlist& nl,
-                                        const fault::FaultList& faults,
-                                        const std::vector<std::size_t>& fault_ids,
-                                        const sim::PatternSet& patterns,
-                                        const Misr& misr);
 
 }  // namespace fbist::bist

@@ -6,8 +6,10 @@
 #include <cstdlib>
 #include <string>
 
+#include "obs/diag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/record.h"
 
 namespace fbist::campaign {
 
@@ -51,8 +53,13 @@ Scheduler::~Scheduler() { stop_threads(); }
 
 std::size_t Scheduler::default_workers() {
   if (const char* env = std::getenv("FBIST_JOBS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<std::size_t>(v);
+    std::uint64_t v = 0;
+    if (util::parse_u64(env, &v) && v >= 1 && v <= kMaxWorkers) {
+      return static_cast<std::size_t>(v);
+    }
+    obs::diag(obs::Severity::kWarn, "scheduler",
+              std::string("FBIST_JOBS='") + env + "' is not a worker count in 1.." +
+                  std::to_string(kMaxWorkers) + "; using hardware concurrency");
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : hc;

@@ -54,7 +54,12 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// FBIST_JOBS environment override, else hardware concurrency (>= 1).
+  /// Most workers a pool may be asked for, by `--jobs` or FBIST_JOBS.
+  static constexpr std::size_t kMaxWorkers = 256;
+
+  /// FBIST_JOBS when it is a decimal in 1..kMaxWorkers, else hardware
+  /// concurrency (>= 1).  Any other FBIST_JOBS value is named in a
+  /// warning and ignored.
   static std::size_t default_workers();
 
   /// The process-wide default pool.

@@ -68,11 +68,4 @@ netlist::Netlist make_circuit(const std::string& name) {
   return generate(spec, p.name);
 }
 
-std::vector<std::string> circuit_names() {
-  std::vector<std::string> names;
-  names.reserve(kProfiles.size());
-  for (const auto& p : kProfiles) names.push_back(p.name);
-  return names;
-}
-
 }  // namespace fbist::circuits

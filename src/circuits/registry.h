@@ -46,7 +46,4 @@ netlist::Netlist make_circuit(const std::string& name);
 /// The genuine ISCAS'85 c17 netlist.
 netlist::Netlist make_c17();
 
-/// Names of all registry circuits, paper order.
-std::vector<std::string> circuit_names();
-
 }  // namespace fbist::circuits

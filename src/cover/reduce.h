@@ -13,10 +13,10 @@
 //                   column b (cols(b) subset of cols(a)), then covering b
 //                   forces covering a; column a is removed.
 //
-// The rules are applied in rotation until none fires.  The reduction is
-// optimality-preserving: some minimum cover of the original matrix
-// consists of the necessary rows plus a minimum cover of the reduced
-// matrix.
+// All three rules always apply, in rotation, until none fires.  The
+// reduction is optimality-preserving: some minimum cover of the
+// original matrix consists of the necessary rows plus a minimum cover
+// of the reduced matrix.
 #pragma once
 
 #include <cstddef>
@@ -51,13 +51,8 @@ struct ReductionResult {
   }
 };
 
-struct ReduceOptions {
-  bool use_essentiality = true;
-  bool use_row_dominance = true;
-  bool use_col_dominance = true;
-};
-
-/// Reduces `m` (which must have every column coverable) to a fixpoint.
-ReductionResult reduce(const DetectionMatrix& m, const ReduceOptions& opts = {});
+/// Reduces `m` (which must have every column coverable) to a fixpoint of
+/// all three rules.
+ReductionResult reduce(const DetectionMatrix& m);
 
 }  // namespace fbist::cover

@@ -77,16 +77,4 @@ std::vector<Fault> collapse_faults(const Netlist& nl) {
   return collapse_faults(CompiledCircuit(nl, /*build_cone_slices=*/false));
 }
 
-std::size_t full_fault_count(const CompiledCircuit& cc) {
-  std::size_t n = 0;
-  for (NetId id = 0; id < cc.num_nets(); ++id) {
-    if (cc.reaches_output(id)) n += 2;
-  }
-  return n;
-}
-
-std::size_t full_fault_count(const Netlist& nl) {
-  return full_fault_count(CompiledCircuit(nl, /*build_cone_slices=*/false));
-}
-
 }  // namespace fbist::fault

@@ -35,8 +35,4 @@ std::vector<Fault> collapse_faults(const netlist::Netlist& nl);
 /// per-netlist lazy caches (Netlist::fanouts()) are touched or rebuilt.
 std::vector<Fault> collapse_faults(const netlist::CompiledCircuit& cc);
 
-/// Size of the full (uncollapsed, output-reaching) fault universe.
-std::size_t full_fault_count(const netlist::Netlist& nl);
-std::size_t full_fault_count(const netlist::CompiledCircuit& cc);
-
 }  // namespace fbist::fault

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "cover/greedy.h"
+#include "cover/reduce.h"
 
 namespace fbist::reseed {
 
@@ -66,7 +67,7 @@ ReseedingSolution optimize(const InitialReseeding& initial,
     sol.solver_nodes = cs.nodes;
     sol.solver_optimal = cs.proven_optimal;
   } else {
-    const cover::ReductionResult red = cover::reduce(work, opts.reduce);
+    const cover::ReductionResult red = cover::reduce(work);
     if (deadline != nullptr) deadline->check("optimizer");
     sol.reduction_iterations = red.iterations;
     sol.residual_rows = red.residual_rows.size();
@@ -126,7 +127,7 @@ ReseedingSolution optimize(const InitialReseeding& initial,
     if (best[c] == kUnassigned) continue;  // should not happen (feasible)
     covered_check.set(c);
     ++assigned[best[c]];
-    if (opts.trim_lengths && have_earliest) {
+    if (have_earliest) {
       trimmed_cycles[best[c]] = std::max(
           trimmed_cycles[best[c]], static_cast<std::size_t>(best_idx[c]) + 1);
     }
@@ -139,7 +140,7 @@ ReseedingSolution optimize(const InitialReseeding& initial,
     st.triplet = initial.triplets[chosen_rows[i]];
     st.necessary = chosen_is_necessary[i];
     st.assigned_faults = assigned[i];
-    if (opts.trim_lengths && have_earliest) {
+    if (have_earliest) {
       // A selected triplet with zero assigned faults can still be kept
       // at length 1 (it must cover something — the solvers return
       // irredundant covers — but its faults may all have been assigned

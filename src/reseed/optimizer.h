@@ -2,11 +2,13 @@
 //
 // Given the initial reseeding and its Detection Matrix, the optimizer
 //   1. restricts the problem to the coverable columns,
-//   2. reduces the matrix with essentiality + dominance to a fixpoint,
+//   2. reduces the matrix with essentiality + row and column dominance
+//      to a fixpoint (always; only the reduction ablation bench skips
+//      the whole stage),
 //   3. solves the residual matrix exactly (branch-and-bound, the LINGO
 //      substitute) — or greedily, for the ablation benches,
 //   4. assembles the final solution N = necessary ∪ solver-chosen rows,
-//   5. trims each selected triplet's evolution length: faults are
+//   5. always trims each selected triplet's evolution length: faults are
 //      assigned to the selected triplet that detects them earliest, and
 //      each triplet keeps only the pattern prefix up to its last
 //      assigned detection ("deleting from each TS_i the last
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "cover/exact.h"
-#include "cover/reduce.h"
 #include "reseed/initial_builder.h"
 
 namespace fbist::reseed {
@@ -25,13 +26,10 @@ namespace fbist::reseed {
 enum class SolverChoice { kExact, kGreedy };
 
 struct OptimizerOptions {
-  cover::ReduceOptions reduce;
   cover::ExactOptions exact;
   SolverChoice solver = SolverChoice::kExact;
   /// Disable the reduction stage entirely (ablation).
   bool skip_reduction = false;
-  /// Trim trailing non-contributing patterns from each selected triplet.
-  bool trim_lengths = true;
 };
 
 /// One selected triplet with its trimmed length and coverage share.

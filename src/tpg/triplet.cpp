@@ -1,6 +1,5 @@
 #include "tpg/triplet.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace fbist::tpg {
@@ -12,17 +11,10 @@ std::string Triplet::to_string() const {
   return ss.str();
 }
 
-sim::PatternSet expand_triplet_prefix(const Tpg& tpg, const Triplet& t,
-                                      std::size_t prefix) {
-  Triplet clipped = t;
-  clipped.cycles = std::min(prefix, t.cycles);
-  sim::PatternSet ps(tpg.width(), clipped.cycles);
-  expand_triplet_into(tpg, clipped, ps, 0);
-  return ps;
-}
-
 sim::PatternSet expand_triplet(const Tpg& tpg, const Triplet& t) {
-  return expand_triplet_prefix(tpg, t, t.cycles);
+  sim::PatternSet ps(tpg.width(), t.cycles);
+  expand_triplet_into(tpg, t, ps, 0);
+  return ps;
 }
 
 void expand_triplet_into(const Tpg& tpg, const Triplet& t, sim::PatternSet& ps,

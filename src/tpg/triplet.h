@@ -30,13 +30,9 @@ struct Triplet {
 };
 
 /// Expands `t` on `tpg` into its test set (t.cycles patterns, width =
-/// tpg.width()).  sigma is legalized by the TPG first.
+/// tpg.width()).  sigma is legalized by the TPG first.  A trimmed
+/// triplet (fewer cycles) expands to a prefix of the untrimmed run.
 sim::PatternSet expand_triplet(const Tpg& tpg, const Triplet& t);
-
-/// Expands only pattern indices [0, prefix) — used after test-length
-/// trimming where a solution keeps a prefix of each triplet's run.
-sim::PatternSet expand_triplet_prefix(const Tpg& tpg, const Triplet& t,
-                                      std::size_t prefix);
 
 /// Expands `t` directly into patterns [base, base + t.cycles) of `ps`
 /// (already sized; width = tpg.width()) — the lane-packed form used by

@@ -78,16 +78,6 @@ std::size_t BitVector::find_next(std::size_t from) const {
   }
 }
 
-std::size_t BitVector::find_last() const {
-  for (std::size_t w = words_.size(); w-- > 0;) {
-    if (words_[w] != 0) {
-      const int high = 63 - __builtin_clzll(words_[w]);
-      return w * kWordBits + static_cast<std::size_t>(high);
-    }
-  }
-  return size_;
-}
-
 BitVector& BitVector::operator|=(const BitVector& o) {
   assert(size_ == o.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words_[i];
@@ -118,14 +108,6 @@ bool BitVector::is_subset_of(const BitVector& o) const {
     if ((words_[i] & ~o.words_[i]) != 0) return false;
   }
   return true;
-}
-
-bool BitVector::intersects(const BitVector& o) const {
-  assert(size_ == o.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & o.words_[i]) != 0) return true;
-  }
-  return false;
 }
 
 std::size_t BitVector::count_and(const BitVector& o) const {

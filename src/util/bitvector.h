@@ -47,8 +47,6 @@ class BitVector {
   std::size_t find_first() const;
   /// Index of the lowest set bit at or after `from`, or `size()` if none.
   std::size_t find_next(std::size_t from) const;
-  /// Index of the highest set bit, or `size()` if none.
-  std::size_t find_last() const;
 
   BitVector& operator|=(const BitVector& o);
   BitVector& operator&=(const BitVector& o);
@@ -58,8 +56,6 @@ class BitVector {
 
   /// True iff every set bit of *this is also set in `o` (this ⊆ o).
   bool is_subset_of(const BitVector& o) const;
-  /// True iff (*this & o) has at least one set bit.
-  bool intersects(const BitVector& o) const;
   /// popcount(*this & o) without materialising the intersection.
   std::size_t count_and(const BitVector& o) const;
 

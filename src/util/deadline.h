@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -38,11 +39,16 @@ class Deadline {
  public:
   Deadline() = default;
 
+  /// A budget too large to reach on the clock saturates to "never
+  /// expires" instead of wrapping into the past.
   static Deadline after_ms(std::uint64_t ms) {
+    constexpr std::uint64_t kNsPerMs = 1'000'000;
+    constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t now = obs::Clock::now_ns();
     Deadline d;
     d.armed_ = true;
     d.limit_ms_ = ms;
-    d.expires_ns_ = obs::Clock::now_ns() + ms * 1'000'000ull;
+    d.expires_ns_ = ms > (kNever - now) / kNsPerMs ? kNever : now + ms * kNsPerMs;
     return d;
   }
 

@@ -20,10 +20,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(sm);
 }
 
-Rng Rng::from_string(const std::string& name, std::uint64_t salt) {
-  return Rng(hash_string(name) ^ (salt * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull));
-}
-
 static inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }

@@ -17,9 +17,6 @@ class Rng {
  public:
   /// Seeds from a 64-bit value via splitmix64 expansion.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
-  /// Seeds from a string (e.g. a circuit name) so each experiment has a
-  /// stable, independent stream.
-  static Rng from_string(const std::string& name, std::uint64_t salt = 0);
 
   std::uint64_t next_u64();
   /// Uniform in [0, bound).  bound must be > 0.

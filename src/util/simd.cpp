@@ -1,8 +1,6 @@
 #include "util/simd.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace fbist::util {
 
@@ -16,19 +14,7 @@ bool detect_avx512() {
 #endif
 }
 
-SimdTier tier_from_env() {
-  const char* env = std::getenv("FBIST_SIMD");
-  if (env == nullptr) return SimdTier::kAuto;
-  if (std::strcmp(env, "narrow") == 0) return SimdTier::kNarrow;
-  if (std::strcmp(env, "avx2") == 0) return SimdTier::kWide4;
-  if (std::strcmp(env, "avx512") == 0) return SimdTier::kWide8;
-  return SimdTier::kAuto;
-}
-
-std::atomic<SimdTier>& tier_slot() {
-  static std::atomic<SimdTier> tier{tier_from_env()};
-  return tier;
-}
+std::atomic<SimdTier> g_tier{SimdTier::kAuto};
 
 }  // namespace
 
@@ -37,10 +23,10 @@ bool cpu_has_avx512() {
   return has;
 }
 
-SimdTier simd_tier() { return tier_slot().load(std::memory_order_relaxed); }
+SimdTier simd_tier() { return g_tier.load(std::memory_order_relaxed); }
 
 void set_simd_tier(SimdTier tier) {
-  tier_slot().store(tier, std::memory_order_relaxed);
+  g_tier.store(tier, std::memory_order_relaxed);
 }
 
 std::size_t chunk_width_for(std::size_t chunk_blocks) {

@@ -8,10 +8,10 @@
 // target_clones, and this module answers "which chunk width should a
 // campaign of B blocks use on this machine?".
 //
-// The tier can be forced — FBIST_SIMD=narrow|avx2|avx512|auto in the
-// environment, or set_simd_tier() from code — which the dispatch
-// equivalence tests and the BM_PackedWalk benches use to pin every
-// tier to bit-identical results on one machine.
+// The tier follows the hardware (kAuto) unless code forces it with
+// set_simd_tier(); no environment variable overrides it.  The dispatch
+// equivalence tests and the BM_PackedWalk benches force each tier to
+// pin them all to bit-identical results on one machine.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +28,7 @@ enum class SimdTier {
 /// True when the CPU supports AVX-512F (always false off x86-64).
 bool cpu_has_avx512();
 
-/// The active tier.  Defaults to kAuto unless FBIST_SIMD overrode it at
-/// process start.
+/// The active tier: kAuto until set_simd_tier() forces another.
 SimdTier simd_tier();
 
 /// Forces a tier (tests/benches); kAuto restores hardware dispatch.

@@ -14,19 +14,6 @@ void Table::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-namespace {
-std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-}  // namespace
-
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(header_.size(), 0);
   auto widen = [&](const std::vector<std::string>& row) {
@@ -50,18 +37,6 @@ void Table::print(std::ostream& os) const {
   std::size_t total = 0;
   for (const auto w : widths) total += w + 2;
   os << std::string(total, '-') << '\n';
-  for (const auto& row : rows_) emit(row);
-}
-
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << ',';
-      os << csv_escape(row[i]);
-    }
-    os << '\n';
-  };
-  emit(header_);
   for (const auto& row : rows_) emit(row);
 }
 

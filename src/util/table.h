@@ -1,4 +1,4 @@
-// Plain-text and CSV table rendering for the benchmark harnesses.
+// Plain-text table rendering for the benchmark harnesses.
 //
 // Every bench binary regenerates one of the paper's tables/figures; this
 // helper keeps their output format uniform and machine-greppable.
@@ -12,7 +12,7 @@
 namespace fbist::util {
 
 /// Column-aligned text table with an optional title, rendered to a
-/// stream, plus CSV export.
+/// stream.
 class Table {
  public:
   explicit Table(std::string title = {}) : title_(std::move(title)) {}
@@ -23,14 +23,11 @@ class Table {
   /// Appends a data row.  Short rows are padded with empty cells.
   void add_row(std::vector<std::string> row);
 
-  std::size_t row_count() const { return rows_.size(); }
   const std::vector<std::string>& row(std::size_t i) const { return rows_.at(i); }
   const std::vector<std::string>& header() const { return header_; }
 
   /// Renders as an aligned text table.
   void print(std::ostream& os) const;
-  /// Renders as CSV (header + rows, comma-separated, quoted as needed).
-  void print_csv(std::ostream& os) const;
 
   /// Formats a double with `prec` fraction digits.
   static std::string fmt(double v, int prec = 2);

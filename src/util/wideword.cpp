@@ -102,12 +102,6 @@ WideWord& WideWord::bxor(const WideWord& o) {
   return *this;
 }
 
-WideWord& WideWord::band(const WideWord& o) {
-  assert(bits_ == o.bits_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words_[i];
-  return *this;
-}
-
 bool WideWord::shl1(bool carry_in) {
   const bool out = bits_ > 0 && get_bit(bits_ - 1);
   Word carry = carry_in ? 1 : 0;
@@ -117,18 +111,6 @@ bool WideWord::shl1(bool carry_in) {
     carry = next_carry;
   }
   clear_tail();
-  return out;
-}
-
-bool WideWord::shr1(bool carry_in) {
-  bool out = bits_ > 0 && (words_[0] & 1u);
-  Word carry = 0;
-  for (std::size_t i = words_.size(); i-- > 0;) {
-    const Word next_carry = words_[i] & 1u;
-    words_[i] = (words_[i] >> 1) | (carry << 63);
-    carry = next_carry;
-  }
-  if (carry_in && bits_ > 0) set_bit(bits_ - 1, true);
   return out;
 }
 

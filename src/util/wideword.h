@@ -51,12 +51,8 @@ class WideWord {
   WideWord& mul(const WideWord& o);
   /// this := this XOR o
   WideWord& bxor(const WideWord& o);
-  /// this := this AND o
-  WideWord& band(const WideWord& o);
   /// Logical shift left by one, dropping the top bit; returns the dropped bit.
   bool shl1(bool carry_in = false);
-  /// Logical shift right by one; returns the dropped low bit.
-  bool shr1(bool carry_in = false);
 
   std::size_t popcount() const;
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "circuits/registry.h"
-#include "sim/fault_sim.h"
 #include "util/rng.h"
 
 namespace fbist::bist {
@@ -75,65 +74,6 @@ TEST(GoldenSignature, MatchesManualComposition) {
   const auto resp = golden_responses(nl, ps);
   ASSERT_EQ(resp.size(), 20u);
   EXPECT_EQ(golden_signature(nl, ps, misr), misr.signature(resp));
-}
-
-TEST(Aliasing, DetectedFaultsMostlyVisibleInSignature) {
-  const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
-  util::Rng rng(9);
-  const auto ps = sim::PatternSet::random(5, 64, rng);
-  const auto r = fsim.run(ps);
-
-  std::vector<std::size_t> detected;
-  r.detected.for_each_set([&](std::size_t f) { detected.push_back(f); });
-  ASSERT_FALSE(detected.empty());
-
-  const Misr misr(nl.num_outputs());  // 2-bit MISR: aliasing plausible
-  const auto aliased = aliased_faults(nl, fl, detected, ps, misr);
-  // Theory bound ~2^-w per fault; with w=2 some aliasing may occur, but
-  // never the majority.
-  EXPECT_LT(aliased.size(), detected.size() / 2 + 1);
-}
-
-TEST(Aliasing, UndetectedFaultNeverReported) {
-  // A fault not observable at the outputs cannot be "aliased" — it is
-  // simply undetected; aliased_faults must skip it.
-  netlist::Netlist nl;
-  const auto a = nl.add_input("a");
-  const auto na = nl.add_gate(netlist::GateType::kNot, "na", {a});
-  const auto y = nl.add_gate(netlist::GateType::kOr, "y", {a, na});
-  const auto out = nl.add_gate(netlist::GateType::kBuf, "out", {y});
-  nl.mark_output(out);
-  const auto fl = fault::FaultList::full(nl);
-  const std::size_t fid = fl.find(fault::Fault{y, true});  // redundant
-  ASSERT_NE(fid, static_cast<std::size_t>(-1));
-
-  util::Rng rng(2);
-  const auto ps = sim::PatternSet::random(1, 8, rng);
-  const Misr misr(1);
-  EXPECT_TRUE(aliased_faults(nl, fl, {fid}, ps, misr).empty());
-}
-
-TEST(Aliasing, WideMisrEliminatesAliasingOnC17) {
-  // c17 has 2 POs, so a 2-bit MISR aliases ~25% of detected faults.
-  // Widening the register (responses zero-extended) drops the aliasing
-  // probability to ~2^-16 — zero on this sample.
-  const auto nl = circuits::make_c17();
-  const auto fl = fault::FaultList::full(nl);
-  sim::FaultSim fsim(nl, fl);
-  util::Rng rng(21);
-  const auto ps = sim::PatternSet::random(5, 128, rng);
-  const auto r = fsim.run(ps);
-  std::vector<std::size_t> detected;
-  r.detected.for_each_set([&](std::size_t f) { detected.push_back(f); });
-
-  const Misr narrow(nl.num_outputs());
-  const Misr wide(16);
-  const auto aliased_narrow = aliased_faults(nl, fl, detected, ps, narrow);
-  const auto aliased_wide = aliased_faults(nl, fl, detected, ps, wide);
-  EXPECT_LE(aliased_wide.size(), aliased_narrow.size());
-  EXPECT_TRUE(aliased_wide.empty());
 }
 
 TEST(Misr, NarrowResponseZeroExtended) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace fbist::campaign {
@@ -15,6 +19,35 @@ TEST(Scheduler, DefaultWorkersAtLeastOne) {
   EXPECT_GE(Scheduler::default_workers(), 1u);
   EXPECT_GE(Scheduler::global().num_workers(), 1u);
   EXPECT_GE(Scheduler::global().loop_slots(), 2u);
+}
+
+TEST(Scheduler, DefaultWorkersRejectsBadJobsEnv) {
+  // Only default_workers() runs under the edited environment: no pool is
+  // ever built from a bad value.
+  std::optional<std::string> saved;
+  if (const char* v = std::getenv("FBIST_JOBS")) saved = v;
+  const unsigned hc = std::thread::hardware_concurrency();
+  const std::size_t hardware = hc == 0 ? 1 : hc;
+
+  for (const char* bad : {"4abc", "100000", "257", "0", "-3", " 4", "", "4 "}) {
+    ::setenv("FBIST_JOBS", bad, 1);
+    testing::internal::CaptureStderr();
+    const std::size_t got = Scheduler::default_workers();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(got, hardware) << "FBIST_JOBS='" << bad << "'";
+    EXPECT_NE(err.find("FBIST_JOBS='" + std::string(bad) + "'"), std::string::npos)
+        << err;
+  }
+  for (const std::size_t good : {std::size_t{1}, std::size_t{3}, Scheduler::kMaxWorkers}) {
+    ::setenv("FBIST_JOBS", std::to_string(good).c_str(), 1);
+    EXPECT_EQ(Scheduler::default_workers(), good);
+  }
+
+  if (saved) {
+    ::setenv("FBIST_JOBS", saved->c_str(), 1);
+  } else {
+    ::unsetenv("FBIST_JOBS");
+  }
 }
 
 TEST(Scheduler, ParallelForVisitsEveryIndexOnce) {

@@ -52,25 +52,21 @@ TEST(Reduce, RowDominanceRemovesSubsetRow) {
 }
 
 TEST(Reduce, ColumnDominanceRemovesImpliedColumn) {
-  // Col 0 is covered by rows {0,1}; col 1 only by row {0}.  rows(col1) ⊆
-  // rows(col0) -> covering col1 implies covering col0 -> col0 removed.
-  // Essentiality is disabled so the column rule is exercised in
-  // isolation (it would otherwise claim col 1 first).
+  // Every column is covered at least twice and no row is a subset of
+  // another, so only column dominance fires: rows(col 0) = {0,1} ⊆
+  // rows(col 3) = {0,1,2} -> covering col 0 implies covering col 3 ->
+  // col 3 is removed and the 3x3 cyclic core survives.
   const auto m = from_rows({
-      {1, 1},
-      {1, 0},
+      {1, 1, 0, 1},
+      {1, 0, 1, 1},
+      {0, 1, 1, 1},
   });
-  ReduceOptions opts;
-  opts.use_essentiality = false;
-  opts.use_row_dominance = false;
-  const ReductionResult r = reduce(m, opts);
-  EXPECT_NE(std::find(r.dominated_cols.begin(), r.dominated_cols.end(), 0u),
-            r.dominated_cols.end());
-  // With the full rule set the same matrix resolves to one necessary row.
-  const ReductionResult full = reduce(m);
-  ASSERT_EQ(full.necessary_rows.size(), 1u);
-  EXPECT_EQ(full.necessary_rows[0], 0u);
-  EXPECT_TRUE(full.residual_empty());
+  const ReductionResult r = reduce(m);
+  EXPECT_EQ(r.dominated_cols, std::vector<std::size_t>{3});
+  EXPECT_TRUE(r.necessary_rows.empty());
+  EXPECT_TRUE(r.dominated_rows.empty());
+  EXPECT_EQ(r.residual_rows, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(r.residual_cols, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(Reduce, IdentityMatrixAllNecessary) {
@@ -106,23 +102,6 @@ TEST(Reduce, CyclicCoreSurvives) {
   EXPECT_TRUE(r.necessary_rows.empty());
   EXPECT_EQ(r.residual_rows.size(), 6u);
   EXPECT_EQ(r.residual_cols.size(), 6u);
-}
-
-TEST(Reduce, RulesCanBeDisabled) {
-  const auto m = from_rows({
-      {1, 1, 0, 0},
-      {1, 1, 1, 0},
-      {0, 0, 1, 1},
-      {0, 1, 0, 1},
-  });
-  ReduceOptions off;
-  off.use_essentiality = false;
-  off.use_row_dominance = false;
-  off.use_col_dominance = false;
-  const ReductionResult r = reduce(m, off);
-  EXPECT_EQ(r.residual_rows.size(), 4u);
-  EXPECT_EQ(r.residual_cols.size(), 4u);
-  EXPECT_TRUE(r.necessary_rows.empty());
 }
 
 // Property: reduction preserves the optimal cover cardinality.

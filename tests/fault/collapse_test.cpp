@@ -14,7 +14,7 @@ using netlist::Netlist;
 
 TEST(Collapse, SmallerThanFullList) {
   const auto nl = circuits::make_circuit("c432");
-  const std::size_t full = full_fault_count(nl);
+  const std::size_t full = FaultList::full(nl).size();
   const auto collapsed = collapse_faults(nl);
   EXPECT_LT(collapsed.size(), full);
   EXPECT_GT(collapsed.size(), 0u);
@@ -141,7 +141,6 @@ TEST(Collapse, CompiledOverloadMatchesNetlistPath) {
     for (std::size_t i = 0; i < via_nl.size(); ++i) {
       EXPECT_TRUE(via_nl[i] == via_cc[i]) << name << " fault " << i;
     }
-    EXPECT_EQ(full_fault_count(nl), full_fault_count(cc)) << name;
     EXPECT_EQ(FaultList::collapsed(cc).size(), via_cc.size()) << name;
   }
 }

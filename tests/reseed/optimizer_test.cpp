@@ -72,16 +72,6 @@ TEST(Optimizer, TrimmingPreservesCoverage) {
   EXPECT_EQ(r.num_detected(), sol.faults_targeted);
 }
 
-TEST(Optimizer, NoTrimKeepsFullLengths) {
-  Fixture f;
-  const std::size_t T = 16;
-  const auto init = f.initial(T);
-  OptimizerOptions opts;
-  opts.trim_lengths = false;
-  const ReseedingSolution sol = optimize(init, opts);
-  for (const auto& st : sol.selected) EXPECT_EQ(st.triplet.cycles, T);
-}
-
 TEST(Optimizer, GreedySolverAlsoFeasible) {
   Fixture f;
   const auto init = f.initial();

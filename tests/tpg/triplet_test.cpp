@@ -69,13 +69,15 @@ TEST(ExpandTripletPrefix, TakesPrefixOnly) {
   t.sigma = util::WideWord(16, 1);
   t.cycles = 10;
   const auto full = expand_triplet(tpg, t);
-  const auto pre = expand_triplet_prefix(tpg, t, 4);
+  // Trimming a triplet's length (as the optimizer does) keeps a prefix
+  // of its run.
+  Triplet trimmed = t;
+  trimmed.cycles = 4;
+  const auto pre = expand_triplet(tpg, trimmed);
   ASSERT_EQ(pre.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(pre.pattern(i), full.pattern(i));
   }
-  // Prefix longer than cycles clamps.
-  EXPECT_EQ(expand_triplet_prefix(tpg, t, 99).size(), 10u);
 }
 
 TEST(ExpandAll, ConcatenatesInOrder) {

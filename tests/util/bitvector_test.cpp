@@ -60,7 +60,6 @@ TEST(BitVector, FillBothWays) {
 TEST(BitVector, FindFirstNextLast) {
   BitVector b(200);
   EXPECT_EQ(b.find_first(), 200u);
-  EXPECT_EQ(b.find_last(), 200u);
   b.set(3);
   b.set(64);
   b.set(199);
@@ -68,7 +67,6 @@ TEST(BitVector, FindFirstNextLast) {
   EXPECT_EQ(b.find_next(4), 64u);
   EXPECT_EQ(b.find_next(65), 199u);
   EXPECT_EQ(b.find_next(200), 200u);
-  EXPECT_EQ(b.find_last(), 199u);
 }
 
 TEST(BitVector, FindNextAtSetPosition) {
@@ -117,8 +115,6 @@ TEST(BitVector, SubsetAndIntersect) {
   EXPECT_TRUE(small.is_subset_of(big));
   EXPECT_FALSE(big.is_subset_of(small));
   EXPECT_TRUE(small.is_subset_of(small));
-  EXPECT_TRUE(small.intersects(big));
-  EXPECT_FALSE(small.intersects(other));
   EXPECT_EQ(small.count_and(big), 2u);
   EXPECT_EQ(small.count_and(other), 0u);
 }
@@ -183,7 +179,7 @@ TEST(BitVectorProperty, LatticeRelations) {
     EXPECT_TRUE(inter.is_subset_of(a));
     BitVector an = a;
     an.and_not(b);
-    EXPECT_FALSE(an.intersects(b));
+    EXPECT_EQ(an.count_and(b), 0u);
     EXPECT_EQ(an.count() + inter.count(), a.count());
   }
 }

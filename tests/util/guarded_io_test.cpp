@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <string>
 
+#include "obs/clock.h"
 #include "util/breaker.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
@@ -210,6 +213,22 @@ TEST(DeadlineTest, ExpiryThrowsNamingTheBudgetNotTheElapsedTime) {
   EXPECT_FALSE(later.expired());
   EXPECT_NO_THROW(later.check("matrix build"));
   EXPECT_EQ(later.limit_ms(), 600'000u);
+}
+
+TEST(Deadline, HugeBudgetNeverExpires) {
+  // 18446744073709 ms * 10^6 lies 551615 ns below 2^64, so once the
+  // clock passes that the unsaturated sum wraps into the past.  Wait
+  // until it has, so a fresh test process cannot pass by luck.
+  while (obs::Clock::now_ns() <= 2'000'000) {
+  }
+  for (const std::uint64_t ms :
+       {std::uint64_t{18446744073709}, std::numeric_limits<std::uint64_t>::max()}) {
+    const Deadline d = Deadline::after_ms(ms);
+    EXPECT_TRUE(d.armed()) << ms;
+    EXPECT_FALSE(d.expired()) << ms;
+    EXPECT_NO_THROW(d.check("campaign run")) << ms;
+    EXPECT_EQ(d.limit_ms(), ms);
+  }
 }
 
 }  // namespace

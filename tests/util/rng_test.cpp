@@ -24,21 +24,6 @@ TEST(Rng, DifferentSeedsDiverge) {
   EXPECT_LT(same, 2);
 }
 
-TEST(Rng, FromStringStable) {
-  Rng a = Rng::from_string("c432");
-  Rng b = Rng::from_string("c432");
-  Rng c = Rng::from_string("c499");
-  EXPECT_EQ(a.next_u64(), b.next_u64());
-  Rng a2 = Rng::from_string("c432");
-  EXPECT_NE(a2.next_u64(), c.next_u64());
-}
-
-TEST(Rng, FromStringSaltChangesStream) {
-  Rng a = Rng::from_string("x", 0);
-  Rng b = Rng::from_string("x", 1);
-  EXPECT_NE(a.next_u64(), b.next_u64());
-}
-
 TEST(Rng, NextBelowInRange) {
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {

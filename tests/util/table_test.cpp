@@ -18,7 +18,7 @@ TEST(Table, RendersHeaderAndRows) {
   EXPECT_NE(out.find("demo"), std::string::npos);
   EXPECT_NE(out.find("circuit"), std::string::npos);
   EXPECT_NE(out.find("s1238"), std::string::npos);
-  EXPECT_EQ(t.row_count(), 2u);
+  EXPECT_EQ(t.row(1)[0], "s1238");
 }
 
 TEST(Table, PadsShortRows) {
@@ -27,17 +27,6 @@ TEST(Table, PadsShortRows) {
   t.add_row({"1"});
   EXPECT_EQ(t.row(0).size(), 3u);
   EXPECT_EQ(t.row(0)[1], "");
-}
-
-TEST(Table, CsvEscapesSpecials) {
-  Table t;
-  t.set_header({"name", "note"});
-  t.add_row({"x,y", "he said \"hi\""});
-  std::ostringstream ss;
-  t.print_csv(ss);
-  const std::string out = ss.str();
-  EXPECT_NE(out.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(out.find("\"he said \"\"hi\"\"\""), std::string::npos);
 }
 
 TEST(Table, FmtHelpers) {

@@ -112,9 +112,6 @@ TEST(WideWord, XorAndAnd) {
   WideWord x = a;
   x.bxor(b);
   EXPECT_EQ(x, WideWord(70, 0b0110));
-  WideWord n = a;
-  n.band(b);
-  EXPECT_EQ(n, WideWord(70, 0b1000));
 }
 
 TEST(WideWord, Shl1DropsTopReturnsIt) {
@@ -127,21 +124,13 @@ TEST(WideWord, Shl1DropsTopReturnsIt) {
   EXPECT_EQ(a, WideWord(4, 0b0101));
 }
 
-TEST(WideWord, Shr1ReturnsLowBit) {
-  WideWord a(4, 0b0101);
-  EXPECT_TRUE(a.shr1());
-  EXPECT_EQ(a, WideWord(4, 0b0010));
-  EXPECT_FALSE(a.shr1(true));
-  EXPECT_EQ(a, WideWord(4, 0b1001));
-}
-
 TEST(WideWord, ShiftAcrossWordBoundary) {
   WideWord a(128);
   a.set_bit(63, true);
   a.shl1();
   EXPECT_TRUE(a.get_bit(64));
-  a.shr1();
-  EXPECT_TRUE(a.get_bit(63));
+  EXPECT_FALSE(a.get_bit(63));
+  EXPECT_EQ(a.popcount(), 1u);
 }
 
 TEST(WideWord, MakeOdd) {
@@ -214,16 +203,23 @@ TEST(WideWordProperty, OddMulIsBijectiveMod2N) {
   }
 }
 
-// Property: shl1 followed by shr1 restores value when the dropped top
-// bit is fed back in.
+// Property: shl1 moves bit i to bit i+1, returns the dropped top bit
+// and shifts carry_in into bit 0; feeding the dropped bit back in is a
+// rotation, and `bits` rotations restore the value.
 TEST(WideWordProperty, ShiftRoundTrip) {
   Rng rng(23);
   for (int t = 0; t < 20; ++t) {
     const std::size_t bits = 1 + rng.next_below(200);
     const WideWord orig = WideWord::random(bits, rng);
     WideWord w = orig;
-    const bool top = w.shl1();
-    w.shr1(top);
+    const bool top = w.shl1(true);
+    EXPECT_EQ(top, orig.get_bit(bits - 1));
+    EXPECT_TRUE(w.get_bit(0));
+    for (std::size_t i = 1; i < bits; ++i) {
+      ASSERT_EQ(w.get_bit(i), orig.get_bit(i - 1)) << "bit " << i;
+    }
+    w = orig;
+    for (std::size_t i = 0; i < bits; ++i) w.shl1(w.get_bit(bits - 1));
     EXPECT_EQ(w, orig);
   }
 }

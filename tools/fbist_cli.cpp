@@ -317,7 +317,10 @@ int cmd_campaign(const Args& a) {
   const campaign::CampaignSpec spec = campaign_spec(a);
   campaign::CampaignOptions copts;
   copts.jobs = a.has("--jobs") ? parse_count(a.get("--jobs"), "--jobs") : 0;
-  if (copts.jobs > 256) throw UsageError("--jobs: more than 256 workers");
+  if (copts.jobs > campaign::Scheduler::kMaxWorkers) {
+    throw UsageError("--jobs: more than " +
+                     std::to_string(campaign::Scheduler::kMaxWorkers) + " workers");
+  }
   if (a.has("--cache")) {
     copts.matrix_cache = std::make_shared<reseed::MatrixCache>(
         reseed::MatrixCacheOptions{a.get("--cache")});
