@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include "atpg/engine.h"
+#include "atpg/podem.h"
 #include "atpg/scoap.h"
 #include "bist/misr.h"
 #include "circuits/registry.h"
@@ -166,6 +167,32 @@ void BM_Atpg(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Atpg)->Unit(benchmark::kMillisecond);
+
+// PODEM alone over the hard tail at registry scale: the faults that
+// 4096 random patterns (the random phase's cap of 64 blocks of 64)
+// leave undetected, close to the set run_atpg hands to PODEM (and, on
+// an abort, to SAT).  One iteration generates for every tail fault.
+void BM_PodemHardTail(benchmark::State& state, const char* circuit) {
+  const auto nl = circuits::make_circuit(circuit);
+  const auto fl = fault::FaultList::collapsed(nl);
+  util::Rng rng(atpg::AtpgOptions{}.seed);
+  const auto ps = sim::PatternSet::random(nl.num_inputs(), 4096, rng);
+  const sim::FaultSimResult r = sim::FaultSim(nl, fl).run(ps);
+  std::vector<fault::Fault> tail;
+  for (std::size_t fid = 0; fid < fl.size(); ++fid) {
+    if (!r.detected.get(fid)) tail.push_back(fl[fid]);
+  }
+  atpg::Podem podem(nl);
+  for (auto _ : state) {
+    std::size_t backtracks = 0;
+    for (const fault::Fault& f : tail) backtracks += podem.generate(f).backtracks;
+    benchmark::DoNotOptimize(backtracks);
+  }
+  state.counters["faults"] = static_cast<double>(tail.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(tail.size()));
+}
+BENCHMARK_CAPTURE(BM_PodemHardTail, s5378, "s5378")->Unit(benchmark::kMillisecond);
 
 void BM_Scoap(benchmark::State& state) {
   const auto nl = circuits::make_circuit("s9234");

@@ -102,9 +102,19 @@ AtpgResult run_atpg(const netlist::Netlist& nl, const fault::FaultList& faults,
   std::unique_ptr<SatEngine> sat;
   OBS_COUNTER(c_sat_detected, "atpg.sat_detected");
   OBS_COUNTER(c_sat_redundant, "atpg.sat_redundant");
+  // PODEM outcomes, counted once per generate call (never in its loop).
+  OBS_COUNTER(c_podem_tests, "atpg.podem_tests");
+  OBS_COUNTER(c_podem_untestable, "atpg.podem_untestable");
+  OBS_COUNTER(c_podem_aborts, "atpg.podem_aborts");
+  OBS_COUNTER(c_podem_backtracks, "atpg.podem_backtracks");
   for (std::size_t fid = 0; fid < faults.size() && num_remaining > 0; ++fid) {
     if (!remaining[fid]) continue;
     const PodemResult pr = podem.generate(faults[fid]);
+    OBS_COUNT(pr.status == PodemStatus::kTestFound    ? c_podem_tests
+              : pr.status == PodemStatus::kUntestable ? c_podem_untestable
+                                                      : c_podem_aborts,
+              1);
+    OBS_COUNT(c_podem_backtracks, pr.backtracks);
     if (pr.status == PodemStatus::kUntestable) {
       remaining[fid] = false;
       result.verdict[fid] = FaultVerdict::kRedundant;

@@ -1,7 +1,6 @@
 #include "atpg/podem.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace fbist::atpg {
 
@@ -91,25 +90,59 @@ Podem::Podem(const netlist::Netlist& nl,
       }
     }
   }
+  value_.assign(n, kVX);
+  queued_.assign(n, 0);
+  bucket_.resize(cc.depth() + 1);
+  std::size_t max_fanin = 0;
+  for (const NetId id : cc.schedule()) max_fanin = std::max(max_fanin, cc.fanin(id).size());
+  fanin_buf_.resize(max_fanin);
 }
 
-void Podem::imply_all(const fault::Fault& f) {
-  // Full forward pass over the compiled schedule; fault site override.
-  // Pinning before the walk is correct for a PI site, and pinning right
-  // after evaluating the site gate is correct otherwise — either way
-  // every reader sees the pinned faulty value (topological order).
+void Podem::set(NetId net, Val5 v) {
+  trail_.emplace_back(net, value_[net]);
+  value_[net] = v;
   const CompiledCircuit& cc = *cc_;
-  const Tern pinned = f.stuck_value ? Tern::k1 : Tern::k0;
-  if (cc.type(f.net) == GateType::kInput) value_[f.net].faulty = pinned;
-
-  std::vector<Val5> fanin_buf;
-  for (const NetId id : cc.schedule()) {
-    const auto fin = cc.fanin(id);
-    fanin_buf.resize(fin.size());
-    for (std::size_t i = 0; i < fin.size(); ++i) fanin_buf[i] = value_[fin[i]];
-    value_[id] = eval_gate5(cc.type(id), fanin_buf.data(), fanin_buf.size());
-    if (id == f.net) value_[id].faulty = pinned;
+  for (const NetId reader : cc.fanout(net)) {
+    if (queued_[reader]) continue;
+    queued_[reader] = 1;
+    const std::uint32_t lv = cc.level(reader);
+    bucket_[lv].push_back(reader);
+    lowest_ = std::min(lowest_, lv);
+    highest_ = std::max(highest_, lv);
   }
+}
+
+void Podem::propagate() {
+  // A reader sits at a higher level than every fanin, so a bucket never
+  // grows while it is drained, and one ascending pass reaches a fixpoint.
+  const CompiledCircuit& cc = *cc_;
+  for (std::uint32_t lv = lowest_; lv <= highest_; ++lv) {
+    for (const NetId id : bucket_[lv]) {
+      queued_[id] = 0;
+      const auto fin = cc.fanin(id);
+      for (std::size_t i = 0; i < fin.size(); ++i) fanin_buf_[i] = value_[fin[i]];
+      Val5 v = eval_gate5(cc.type(id), fanin_buf_.data(), fin.size());
+      if (id == site_) v.faulty = pinned_;
+      if (!(v == value_[id])) set(id, v);
+    }
+    bucket_[lv].clear();
+  }
+  lowest_ = UINT32_MAX;
+  highest_ = 0;
+}
+
+void Podem::undo(std::size_t mark) {
+  while (trail_.size() > mark) {
+    value_[trail_.back().first] = trail_.back().second;
+    trail_.pop_back();
+  }
+}
+
+void Podem::assign_pi(NetId pi, Tern v) {
+  Val5 nv = v == Tern::k1 ? kV1 : kV0;
+  if (pi == site_) nv.faulty = pinned_;  // a PI site stays pinned
+  set(pi, nv);
+  propagate();
 }
 
 bool Podem::fault_activated(const fault::Fault& f) const {
@@ -121,24 +154,6 @@ bool Podem::fault_activated(const fault::Fault& f) const {
 bool Podem::d_at_output() const {
   for (const NetId o : cc_->outputs()) {
     if (value_[o].is_d_or_dbar()) return true;
-  }
-  return false;
-}
-
-bool Podem::d_frontier_nonempty(const fault::Fault& f) const {
-  // D-frontier: a gate whose output is X while some fanin carries D/D'.
-  // The fault site itself counts while its good side is X (activation
-  // still possible).  D values only exist inside the fanout cone.
-  const Val5& site = value_[f.net];
-  if (site.good == Tern::kX) return true;
-  const CompiledCircuit& cc = *cc_;
-  for (const NetId id : cone_nets_) {
-    if (!value_[id].is_d_or_dbar()) continue;
-    for (const NetId reader : cc.fanout(id)) {
-      if (value_[reader].good == Tern::kX || value_[reader].faulty == Tern::kX) {
-        return true;
-      }
-    }
   }
   return false;
 }
@@ -266,12 +281,6 @@ std::pair<NetId, Tern> Podem::backtrace(NetId net, Tern value) const {
   return {cur, want};
 }
 
-struct Podem::Frame {
-  NetId pi;
-  Tern value;
-  bool tried_both;
-};
-
 PodemResult Podem::generate(const fault::Fault& f) {
   const CompiledCircuit& cc = *cc_;
   PodemResult result;
@@ -285,19 +294,19 @@ PodemResult Podem::generate(const fault::Fault& f) {
   cone_nets_.push_back(f.net);
   cone_nets_.insert(cone_nets_.end(), cone.begin(), cone.end());
 
-  value_.assign(cc.num_nets(), kVX);
-  imply_all(f);
-
-  std::vector<Frame> stack;
-  auto assign_pi = [&](NetId pi, Tern v) {
-    value_[pi] = v == Tern::k1 ? kV1 : kV0;
-    imply_all(f);
-  };
+  // All-X with nothing assigned, then the stuck value pinned on the
+  // site's faulty side and implied out of it.
+  undo(0);
+  stack_.clear();
+  site_ = f.net;
+  pinned_ = f.stuck_value ? Tern::k1 : Tern::k0;
+  set(f.net, Val5{Tern::kX, pinned_});
+  propagate();
 
   while (true) {
     if (fault_activated(f) && d_at_output()) {
       result.status = PodemStatus::kTestFound;
-      for (const auto& fr : stack) {
+      for (const Frame& fr : stack_) {
         const std::size_t idx = cc.input_index(fr.pi);
         result.pattern.set_bit(idx, fr.value == Tern::k1);
         result.care.set_bit(idx, true);
@@ -305,17 +314,15 @@ PodemResult Podem::generate(const fault::Fault& f) {
       return result;
     }
 
-    const bool dead = !d_frontier_nonempty(f) && !d_at_output();
-    std::optional<std::pair<NetId, Tern>> obj;
-    if (!dead) obj = objective(f);
-
-    if (!dead && obj.has_value()) {
+    // No objective means no way forward: the site is fixed at the stuck
+    // value, or the D-frontier is empty.
+    if (const auto obj = objective(f)) {
       const auto [pi, v] = backtrace(obj->first, obj->second);
       // A PI is free iff its good value is unassigned.  (Checking is_x()
-      // would wrongly treat a fault site PI as assigned: imply_all pins
-      // its faulty side to the stuck value.)
+      // would wrongly treat a fault site PI as assigned: its faulty side
+      // is pinned to the stuck value.)
       if (value_[pi].good == Tern::kX) {
-        stack.push_back(Frame{pi, v, false});
+        stack_.push_back(Frame{pi, v, false, trail_.size()});
         ++result.decisions;
         assign_pi(pi, v);
         continue;
@@ -323,38 +330,23 @@ PodemResult Podem::generate(const fault::Fault& f) {
       // Backtrace landed on an assigned PI — treat as a conflict.
     }
 
-    // Backtrack.
-    bool recovered = false;
-    while (!stack.empty()) {
-      Frame& top = stack.back();
-      if (!top.tried_both) {
-        top.tried_both = true;
-        top.value = tern_not(top.value);
-        ++result.backtracks;
-        if (result.backtracks > opts_.backtrack_limit) {
-          result.status = PodemStatus::kAborted;
-          return result;
-        }
-        // Re-imply from scratch with the flipped decision.
-        value_.assign(cc.num_nets(), kVX);
-        for (const auto& fr : stack) {
-          value_[fr.pi] = fr.value == Tern::k1 ? kV1 : kV0;
-        }
-        imply_all(f);
-        recovered = true;
-        break;
-      }
-      stack.pop_back();
-      value_.assign(cc.num_nets(), kVX);
-      for (const auto& fr : stack) {
-        value_[fr.pi] = fr.value == Tern::k1 ? kV1 : kV0;
-      }
-      imply_all(f);
-    }
-    if (!recovered && stack.empty()) {
+    // Backtrack: flip the deepest untried decision, popping tried ones.
+    // Undoing to its mark also discards whatever the popped frames set.
+    while (!stack_.empty() && stack_.back().tried_both) stack_.pop_back();
+    if (stack_.empty()) {
       result.status = PodemStatus::kUntestable;
       return result;
     }
+    Frame& top = stack_.back();
+    top.tried_both = true;
+    top.value = tern_not(top.value);
+    ++result.backtracks;
+    if (result.backtracks > opts_.backtrack_limit) {
+      result.status = PodemStatus::kAborted;
+      return result;
+    }
+    undo(top.mark);
+    assign_pi(top.pi, top.value);
   }
 }
 

@@ -9,10 +9,7 @@ namespace fbist::util {
 
 void Table::set_header(std::vector<std::string> header) { header_ = std::move(header); }
 
-void Table::add_row(std::vector<std::string> row) {
-  if (row.size() < header_.size()) row.resize(header_.size());
-  rows_.push_back(std::move(row));
-}
+void Table::add_row(std::vector<std::string> row) { rows_.push_back(std::move(row)); }
 
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(header_.size(), 0);

@@ -17,14 +17,11 @@ class Table {
  public:
   explicit Table(std::string title = {}) : title_(std::move(title)) {}
 
-  /// Sets the header row; call before adding rows.
+  /// Sets the header row.
   void set_header(std::vector<std::string> header);
 
-  /// Appends a data row.  Short rows are padded with empty cells.
+  /// Appends a data row.  Short rows print padded with empty cells.
   void add_row(std::vector<std::string> row);
-
-  const std::vector<std::string>& row(std::size_t i) const { return rows_.at(i); }
-  const std::vector<std::string>& header() const { return header_; }
 
   /// Renders as an aligned text table.
   void print(std::ostream& os) const;

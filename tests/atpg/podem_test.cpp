@@ -5,6 +5,7 @@
 #include "circuits/generator.h"
 #include "circuits/registry.h"
 #include "sim/fault_sim.h"
+#include "util/rng.h"
 
 namespace fbist::atpg {
 namespace {
@@ -121,6 +122,54 @@ TEST(Podem, DecisionStatisticsPopulated) {
     total_decisions += podem.generate(fl[fid]).decisions;
   }
   EXPECT_GT(total_decisions, 0u);
+}
+
+// Pins the search itself, not only run_atpg's output: every collapsed
+// fault's verdict, backtrack and decision counts and cube go into one
+// hash, so a change to implication, objective or backtrace order that
+// keeps the patterns but walks a different tree still shows.  Budget 4
+// exercises the abort path on most hard faults.
+TEST(Podem, SearchGolden) {
+  circuits::GeneratorSpec deep;
+  deep.num_inputs = 36;
+  deep.num_outputs = 18;
+  deep.num_gates = 400;
+  deep.layers = 8;
+  deep.xor_share = 0.22;
+  deep.wide_gate_share = 0.06;
+  deep.seed = 8;
+  struct Golden {
+    const char* circuit;  // registry name, or "deep8" for `deep`
+    std::size_t backtrack_limit;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {"c880", 600, 17480179406063461125ull},
+      {"c880", 4, 15013908891516379379ull},
+      {"c1908", 600, 14118349602597935179ull},
+      {"c1908", 4, 12220292606144432666ull},
+      {"deep8", 600, 16570946008375129893ull},
+      {"deep8", 4, 2838780257475869901ull},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(std::string(g.circuit) + " backtrack_limit=" +
+                 std::to_string(g.backtrack_limit));
+    const Netlist nl = std::string(g.circuit) == "deep8"
+                           ? circuits::generate(deep)
+                           : circuits::make_circuit(g.circuit);
+    const auto fl = fault::FaultList::collapsed(nl);
+    Podem podem(nl, PodemOptions{g.backtrack_limit});
+    util::Fnv1a h(util::Fnv1a::kBasis);
+    for (std::size_t fid = 0; fid < fl.size(); ++fid) {
+      const PodemResult r = podem.generate(fl[fid]);
+      h.u64(static_cast<std::uint64_t>(r.status));
+      h.u64(r.backtracks);
+      h.u64(r.decisions);
+      h.str(r.pattern.to_hex());
+      h.str(r.care.to_hex());
+    }
+    EXPECT_EQ(h.value(), g.hash);
+  }
 }
 
 // Parameterized property: PODEM patterns validated by fault simulation

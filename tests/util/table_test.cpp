@@ -14,19 +14,26 @@ TEST(Table, RendersHeaderAndRows) {
   t.add_row({"s1238", "11"});
   std::ostringstream ss;
   t.print(ss);
-  const std::string out = ss.str();
-  EXPECT_NE(out.find("demo"), std::string::npos);
-  EXPECT_NE(out.find("circuit"), std::string::npos);
-  EXPECT_NE(out.find("s1238"), std::string::npos);
-  EXPECT_EQ(t.row(1)[0], "s1238");
+  // Every column is as wide as its widest cell plus two spaces.
+  EXPECT_EQ(ss.str(),
+            "== demo ==\n"
+            "circuit  triplets  \n"
+            "-------------------\n"
+            "c432     5         \n"
+            "s1238    11        \n");
 }
 
 TEST(Table, PadsShortRows) {
   Table t;
   t.set_header({"a", "b", "c"});
   t.add_row({"1"});
-  EXPECT_EQ(t.row(0).size(), 3u);
-  EXPECT_EQ(t.row(0)[1], "");
+  std::ostringstream ss;
+  t.print(ss);
+  // No title line; the short row still spans all three columns.
+  EXPECT_EQ(ss.str(),
+            "a  b  c  \n"
+            "---------\n"
+            "1        \n");
 }
 
 TEST(Table, FmtHelpers) {
