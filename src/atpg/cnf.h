@@ -76,7 +76,8 @@ class ClauseSink {
 
 /// Plain clause database (CSR layout), reusable across solver
 /// instances: the SAT engine emits the good-circuit formula once and
-/// bulk-loads it into a fresh solver per fault.
+/// bulk-loads it into the solver each fault's solve starts from a copy
+/// of.
 class Cnf : public ClauseSink {
  public:
   SatVar new_var() override { return num_vars_++; }

@@ -3,15 +3,22 @@
 // Pipeline (standard industrial shape):
 //   1. random-pattern phase: 64-pattern blocks, fault simulation with
 //      dropping, stops after a run of unproductive blocks;
-//   2. deterministic phase: PODEM per remaining fault; a PODEM abort
-//      escalates to atpg::SatEngine when enabled.  Each new pattern
-//      (PODEM cube X-filled at random, or a fully specified SAT model)
-//      is fault-simulated against all remaining faults and drops every
-//      fault it catches; a SAT model is accepted only if that campaign
-//      catches its target;
-//   3. reverse-order compaction, which always runs: patterns are
-//      fault-simulated in reverse order; patterns that detect no
-//      yet-undetected fault are dropped.
+//   2. deterministic phase: PODEM per remaining fault, screened by
+//      atpg::SatEngine when SAT escalation is on.  A search still
+//      undecided after a fixed number of backtracks (32, or the budget
+//      if lower) pauses and SAT decides the fault: UNSAT proves it
+//      redundant at once; otherwise PODEM resumes the same search to
+//      its full budget, and only if that aborts is the SAT model used.
+//      The outcome equals running PODEM to its budget and escalating
+//      only its aborts, since a SAT answer depends on nothing but
+//      (circuit, fault).  Each new pattern (PODEM cube X-filled at
+//      random, or a fully specified SAT model) is fault-simulated
+//      against all remaining faults and drops every fault it catches;
+//      a SAT model is accepted only if that campaign catches its
+//      target;
+//   3. reverse-order compaction, which always runs: a pattern is kept
+//      only if it detects some fault that no later pattern detects,
+//      found by one campaign over the reversed pattern list.
 //
 // Output: a compacted complete test set plus the per-fault verdicts
 // (detected / proven redundant / aborted).
@@ -33,11 +40,11 @@ namespace fbist::atpg {
 
 struct AtpgOptions {
   PodemOptions podem;
-  /// SAT escalation: when PODEM aborts on a fault, hand it to
+  /// SAT escalation: a fault PODEM leaves undecided goes to
   /// atpg::SatEngine, which either produces a validated test pattern or
   /// a redundancy certificate (see sat_engine.h).  On by default —
-  /// PODEM stays the fast path; the solver only ever sees the aborted
-  /// tail.
+  /// PODEM stays the fast path; the solver only sees faults PODEM has
+  /// not decided within the screen's backtrack count (see above).
   bool sat_escalate = true;
   SatEngineOptions sat;
   std::uint64_t seed = 1;
@@ -60,8 +67,11 @@ struct AtpgResult {
   /// SAT-escalation outcomes (both zero when sat_escalate is off).
   /// sat_detected_faults counts PODEM-aborted faults the solver found a
   /// (FaultSim-validated) pattern for; sat_redundant_faults counts
-  /// UNSAT redundancy certificates.  Both subsets are already included
-  /// in the verdict[] / redundant_faults tallies above.
+  /// UNSAT redundancy certificates, including the screen's (a fault
+  /// the screen proves redundant is not searched further, even if
+  /// PODEM would have proved it within its budget).  Both subsets are
+  /// already included in the verdict[] / redundant_faults tallies
+  /// above.
   std::size_t sat_detected_faults = 0;
   std::size_t sat_redundant_faults = 0;
 

@@ -281,11 +281,11 @@ std::pair<NetId, Tern> Podem::backtrace(NetId net, Tern value) const {
   return {cur, want};
 }
 
-PodemResult Podem::generate(const fault::Fault& f) {
+PodemResult Podem::generate(const fault::Fault& f, std::size_t pause_after) {
   const CompiledCircuit& cc = *cc_;
-  PodemResult result;
-  result.pattern = util::WideWord(cc.num_inputs());
-  result.care = util::WideWord(cc.num_inputs());
+  result_ = PodemResult{};
+  result_.pattern = util::WideWord(cc.num_inputs());
+  result_.care = util::WideWord(cc.num_inputs());
 
   // Precompiled cone slice — the seed recomputed this BFS per fault.
   const auto cone = cc.cone_gates(f.net);
@@ -302,16 +302,34 @@ PodemResult Podem::generate(const fault::Fault& f) {
   pinned_ = f.stuck_value ? Tern::k1 : Tern::k0;
   set(f.net, Val5{Tern::kX, pinned_});
   propagate();
+  return search(std::min(pause_after, opts_.backtrack_limit));
+}
 
+PodemResult Podem::resume() {
+  // Only a paused search goes on: it stopped within the budget, with
+  // its top frame flipped but the other value not yet assigned.
+  if (result_.status != PodemStatus::kAborted ||
+      result_.backtracks > opts_.backtrack_limit || stack_.empty()) {
+    return result_;
+  }
+  const Frame& top = stack_.back();
+  undo(top.mark);
+  assign_pi(top.pi, top.value);
+  return search(opts_.backtrack_limit);
+}
+
+PodemResult Podem::search(std::size_t cap) {
+  const CompiledCircuit& cc = *cc_;
+  const fault::Fault f{site_, pinned_ == Tern::k1};
   while (true) {
     if (fault_activated(f) && d_at_output()) {
-      result.status = PodemStatus::kTestFound;
+      result_.status = PodemStatus::kTestFound;
       for (const Frame& fr : stack_) {
         const std::size_t idx = cc.input_index(fr.pi);
-        result.pattern.set_bit(idx, fr.value == Tern::k1);
-        result.care.set_bit(idx, true);
+        result_.pattern.set_bit(idx, fr.value == Tern::k1);
+        result_.care.set_bit(idx, true);
       }
-      return result;
+      return result_;
     }
 
     // No objective means no way forward: the site is fixed at the stuck
@@ -323,7 +341,7 @@ PodemResult Podem::generate(const fault::Fault& f) {
       // is pinned to the stuck value.)
       if (value_[pi].good == Tern::kX) {
         stack_.push_back(Frame{pi, v, false, trail_.size()});
-        ++result.decisions;
+        ++result_.decisions;
         assign_pi(pi, v);
         continue;
       }
@@ -334,16 +352,16 @@ PodemResult Podem::generate(const fault::Fault& f) {
     // Undoing to its mark also discards whatever the popped frames set.
     while (!stack_.empty() && stack_.back().tried_both) stack_.pop_back();
     if (stack_.empty()) {
-      result.status = PodemStatus::kUntestable;
-      return result;
+      result_.status = PodemStatus::kUntestable;
+      return result_;
     }
     Frame& top = stack_.back();
     top.tried_both = true;
     top.value = tern_not(top.value);
-    ++result.backtracks;
-    if (result.backtracks > opts_.backtrack_limit) {
-      result.status = PodemStatus::kAborted;
-      return result;
+    ++result_.backtracks;
+    if (result_.backtracks > cap) {
+      result_.status = PodemStatus::kAborted;  // over the budget, or paused
+      return result_;
     }
     undo(top.mark);
     assign_pi(top.pi, top.value);

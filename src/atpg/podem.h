@@ -22,6 +22,11 @@
 // across faults; every fault starts from all-X, which is the trail
 // undone to empty.
 //
+// A search can pause at a backtrack count below its budget and resume
+// later (run_atpg's SAT screen does).  The decision stack, trail and
+// counts stay in the instance, so the resumed search walks exactly the
+// tree an unpaused one would.
+//
 // Structure access (fanin/fanout, per-fault cone slices, levels) goes
 // through a netlist::CompiledCircuit, which the engine shares with the
 // fault simulator instead of re-deriving levels/cones per Podem
@@ -79,8 +84,17 @@ class Podem {
         std::shared_ptr<const netlist::CompiledCircuit> compiled,
         PodemOptions opts = {});
 
-  /// Attempts to generate a test for `f`.
-  PodemResult generate(const fault::Fault& f);
+  /// Attempts to generate a test for `f`.  The search stops as kAborted
+  /// once it needs more than `backtrack_limit` backtracks, or more than
+  /// `pause_after` if that is lower: then it is paused, and resume()
+  /// continues it.
+  PodemResult generate(const fault::Fault& f,
+                       std::size_t pause_after = SIZE_MAX);
+  /// Continues the search the last generate() paused, up to the
+  /// backtrack limit, and returns the outcome of the whole search (the
+  /// one an unpaused generate() returns).  A finished search's result
+  /// is returned as it stands.
+  PodemResult resume();
 
  private:
   struct Frame {
@@ -98,6 +112,10 @@ class Podem {
   void propagate();
   /// Restores every net changed since the trail had length `mark`.
   void undo(std::size_t mark);
+
+  /// Runs the search from the current state until it decides or
+  /// exceeds `cap` backtracks.
+  PodemResult search(std::size_t cap);
 
   bool fault_activated(const fault::Fault& f) const;
   bool d_at_output() const;
@@ -117,6 +135,7 @@ class Podem {
   std::vector<Frame> stack_;
   netlist::NetId site_ = netlist::kNullNet;  // fault site being searched
   Tern pinned_ = Tern::kX;                   // its stuck value
+  PodemResult result_;                       // its search so far
   std::vector<std::uint8_t> cc0_, cc1_;  // SCOAP-ish controllability (saturated)
   /// D/D' values only ever exist inside the fault's fanout cone, so the
   /// frontier scans walk this list ({fault net} ∪ cone gates) instead of

@@ -7,15 +7,17 @@
 namespace fbist::atpg {
 
 SatEngine::SatEngine(const netlist::CompiledCircuit& cc, SatEngineOptions opts)
-    : cc_(cc), opts_(opts) {
+    : cc_(cc), base_(SolverOptions{opts.conflict_limit}) {
   // One combinational timeframe into a fresh sink: net n's variable is
   // exactly n (see CircuitCnf), so the engine needs no variable map for
   // the good circuit.
-  CircuitCnf frames(cc_, good_cnf_);
+  Cnf good_cnf;
+  CircuitCnf frames(cc_, good_cnf);
   frames.add_timeframe();
+  base_.load(good_cnf);
 }
 
-SatResult SatEngine::generate(const fault::Fault& f) const {
+SatResult SatEngine::generate(const fault::Fault& f) {
   OBS_COUNTER(c_calls, "atpg.sat_calls");
   OBS_COUNTER(c_conflicts, "atpg.sat_conflicts");
   OBS_COUNT(c_calls, 1);
@@ -28,10 +30,11 @@ SatResult SatEngine::generate(const fault::Fault& f) const {
     return result;
   }
 
-  SolverOptions sopts;
-  sopts.conflict_limit = opts_.conflict_limit;
-  Solver solver(sopts);
-  solver.load(good_cnf_);
+  // A copy of the loaded snapshot is state-equal to a fresh solver
+  // that loaded the good circuit, and reuses the working solver's
+  // storage.
+  work_ = base_;
+  Solver& solver = work_;
 
   // Faulty copy: variables only for the fault site and its fanout cone.
   // Everything outside the cone is shared with the good circuit.

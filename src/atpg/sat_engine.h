@@ -10,9 +10,10 @@
 // (solver.h):
 //
 //   * the good circuit is encoded once per SatEngine (Tseitin clauses
-//     over the whole schedule, via cnf.h) and bulk-loaded into a fresh
-//     solver per fault — fresh solvers keep results order-independent
-//     and deterministic;
+//     over the whole schedule, via cnf.h) and loaded once into a base
+//     solver; each fault solves on a copy of that loaded snapshot,
+//     which equals a fresh solver that loaded the circuit, so results
+//     stay order-independent and deterministic;
 //   * the faulty circuit is only re-encoded over the fault's fanout
 //     cone (cone_gates), with the fault site forced to its stuck value
 //     and the good site forced to the opposite value (activation);
@@ -62,23 +63,22 @@ struct SatResult {
   std::uint64_t decisions = 0;
 };
 
-/// Per-circuit SAT ATPG engine.  Construction encodes the good circuit
-/// once; generate() builds and solves one miter per fault.
+/// Per-circuit SAT ATPG engine.  Construction encodes and loads the
+/// good circuit once; generate() builds and solves one miter per fault.
 class SatEngine {
  public:
   explicit SatEngine(const netlist::CompiledCircuit& cc,
                      SatEngineOptions opts = {});
 
   /// Decides one stuck-at fault.  Deterministic: identical circuit +
-  /// fault always yields the identical result (including the pattern).
-  SatResult generate(const fault::Fault& f) const;
-
-  const SatEngineOptions& options() const { return opts_; }
+  /// fault always yields the identical result (including the pattern),
+  /// whatever the engine solved before.
+  SatResult generate(const fault::Fault& f);
 
  private:
   const netlist::CompiledCircuit& cc_;
-  SatEngineOptions opts_;
-  Cnf good_cnf_;  // whole-circuit Tseitin clauses; net n <-> variable n
+  Solver base_;  // the good circuit loaded; net n <-> variable n
+  Solver work_;  // per-fault copy of base_ plus the fault's miter
 };
 
 }  // namespace fbist::atpg

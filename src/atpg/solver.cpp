@@ -51,33 +51,35 @@ void Solver::add_clause(const SatLit* lits, std::size_t n) {
   if (unsat_) return;
 
   // Level-0 simplification: sort + dedup, drop false literals, skip
-  // satisfied or tautological clauses.
-  std::vector<SatLit> c(lits, lits + n);
+  // satisfied or tautological clauses.  The kept literals are compacted
+  // to the front of the scratch buffer, in sorted order.
+  std::vector<SatLit>& c = clause_buf_;
+  c.assign(lits, lits + n);
   std::sort(c.begin(), c.end());
   c.erase(std::unique(c.begin(), c.end()), c.end());
-  std::vector<SatLit> kept;
-  kept.reserve(c.size());
+  std::size_t m = 0;
   for (std::size_t i = 0; i < c.size(); ++i) {
     if (i + 1 < c.size() && c[i].var() == c[i + 1].var()) return;  // tautology
     const int v = lit_value(assign_, c[i]);
     if (v == 1) return;  // already satisfied at level 0
     if (v == 0) continue;  // false at level 0: literal can never help
-    kept.push_back(c[i]);
+    c[m++] = c[i];
   }
-  if (kept.empty()) {
+  c.resize(m);
+  if (c.empty()) {
     unsat_ = true;
     return;
   }
-  if (kept.size() == 1) {
-    if (!enqueue(kept[0], kNoReason)) unsat_ = true;
+  if (c.size() == 1) {
+    if (!enqueue(c[0], kNoReason)) unsat_ = true;
     return;
   }
   const std::uint32_t ci = static_cast<std::uint32_t>(clause_off_.size());
   clause_off_.push_back(static_cast<std::uint32_t>(pool_.size()));
-  clause_len_.push_back(static_cast<std::uint32_t>(kept.size()));
-  pool_.insert(pool_.end(), kept.begin(), kept.end());
-  watches_[kept[0].code].push_back(ci);
-  watches_[kept[1].code].push_back(ci);
+  clause_len_.push_back(static_cast<std::uint32_t>(c.size()));
+  pool_.insert(pool_.end(), c.begin(), c.end());
+  watches_[c[0].code].push_back(ci);
+  watches_[c[1].code].push_back(ci);
 }
 
 bool Solver::enqueue(SatLit l, std::uint32_t reason) {

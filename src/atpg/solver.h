@@ -16,7 +16,9 @@
 //    kAborted instead of an unbounded search (PODEM's backtrack-limit
 //    discipline, transplanted);
 //  * incremental-ish: a preassembled Cnf bulk-loads cheaply, then
-//    per-fault clauses are added on top (the engine's miter layer).
+//    per-fault clauses are added on top (the engine's miter layer);
+//    a loaded solver is copyable, and the copy is state-equal to the
+//    original, so the load is paid once per circuit.
 //
 // Assumptions are supported as forced first decisions — the CNF
 // property suite unit-assumes the primary-input literals and checks
@@ -127,6 +129,7 @@ class Solver : public ClauseSink {
   static constexpr std::uint32_t kNoPos = static_cast<std::uint32_t>(-1);
 
   std::vector<std::uint8_t> seen_;  // analyze() scratch
+  std::vector<SatLit> clause_buf_;  // add_clause() scratch
   bool unsat_ = false;              // empty clause added
 };
 

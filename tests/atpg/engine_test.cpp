@@ -103,8 +103,17 @@ std::uint64_t pattern_fingerprint(const sim::PatternSet& ps) {
 // refreshes these values and says so in its changelog.  The c880 run
 // at backtrack_limit 4 forces more SAT escalation through its drop path.
 TEST(AtpgEngine, GoldenFingerprint) {
+  // One atpg_many-shaped circuit: ~400 gates at logic depth 8.
+  circuits::GeneratorSpec deep;
+  deep.num_inputs = 36;
+  deep.num_outputs = 18;
+  deep.num_gates = 400;
+  deep.layers = 8;
+  deep.xor_share = 0.22;
+  deep.wide_gate_share = 0.06;
+  deep.seed = 8;
   struct Golden {
-    const char* circuit;
+    const char* circuit;  // registry name, or "deep8" for `deep`
     std::size_t backtrack_limit;  // 0 = default PodemOptions
     std::size_t patterns, random, deterministic;
     std::size_t redundant, sat_detected, sat_redundant;
@@ -112,14 +121,17 @@ TEST(AtpgEngine, GoldenFingerprint) {
   };
   const Golden goldens[] = {
       {"c17", 0, 6, 6, 0, 0, 0, 0, 9647798959854458122ull},
-      {"c432", 0, 25, 30, 3, 25, 0, 10, 10015249281273688735ull},
-      {"c880", 0, 36, 65, 17, 87, 7, 43, 17841512216515266964ull},
+      {"c432", 0, 25, 30, 3, 25, 0, 23, 10015249281273688735ull},
+      {"c880", 0, 36, 65, 17, 87, 7, 63, 17841512216515266964ull},
       {"c880", 4, 40, 65, 18, 87, 17, 74, 9341020332839906239ull},
+      {"deep8", 0, 52, 66, 21, 52, 1, 16, 2676892301493295677ull},
   };
   for (const Golden& g : goldens) {
     SCOPED_TRACE(std::string(g.circuit) + " backtrack_limit=" +
                  std::to_string(g.backtrack_limit));
-    const auto nl = circuits::make_circuit(g.circuit);
+    const netlist::Netlist nl = std::string(g.circuit) == "deep8"
+                                    ? circuits::generate(deep)
+                                    : circuits::make_circuit(g.circuit);
     const auto fl = fault::FaultList::collapsed(nl);
     AtpgOptions opts;
     if (g.backtrack_limit != 0) opts.podem.backtrack_limit = g.backtrack_limit;

@@ -128,8 +128,10 @@ TEST(Podem, DecisionStatisticsPopulated) {
 // fault's verdict, backtrack and decision counts and cube go into one
 // hash, so a change to implication, objective or backtrace order that
 // keeps the patterns but walks a different tree still shows.  Budget 4
-// exercises the abort path on most hard faults.
-TEST(Podem, SearchGolden) {
+// exercises the abort path on most hard faults.  With `pause_after`
+// set, every search pauses there and is resumed, which must not change
+// a single search.
+void expect_search_golden(std::size_t pause_after) {
   circuits::GeneratorSpec deep;
   deep.num_inputs = 36;
   deep.num_outputs = 18;
@@ -160,8 +162,14 @@ TEST(Podem, SearchGolden) {
     const auto fl = fault::FaultList::collapsed(nl);
     Podem podem(nl, PodemOptions{g.backtrack_limit});
     util::Fnv1a h(util::Fnv1a::kBasis);
+    std::size_t paused = 0;
     for (std::size_t fid = 0; fid < fl.size(); ++fid) {
-      const PodemResult r = podem.generate(fl[fid]);
+      PodemResult r = podem.generate(fl[fid], pause_after);
+      if (r.status == PodemStatus::kAborted &&
+          r.backtracks <= g.backtrack_limit) {
+        ++paused;
+        r = podem.resume();
+      }
       h.u64(static_cast<std::uint64_t>(r.status));
       h.u64(r.backtracks);
       h.u64(r.decisions);
@@ -169,8 +177,16 @@ TEST(Podem, SearchGolden) {
       h.str(r.care.to_hex());
     }
     EXPECT_EQ(h.value(), g.hash);
+    // Below the budget some searches really pause.
+    if (pause_after < g.backtrack_limit) {
+      EXPECT_GT(paused, 0u);
+    }
   }
 }
+
+TEST(Podem, SearchGolden) { expect_search_golden(SIZE_MAX); }
+
+TEST(Podem, SearchGoldenPausedAt32AndResumed) { expect_search_golden(32); }
 
 // Parameterized property: PODEM patterns validated by fault simulation
 // across a sweep of generator seeds.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "atpg/engine.h"
 #include "circuits/generator.h"
 #include "circuits/registry.h"
@@ -29,7 +31,7 @@ netlist::Netlist make_absorption_circuit() {
 TEST(SatEngine, CertifiesAbsorptionRedundancyAndDetectsItsDual) {
   const auto nl = make_absorption_circuit();
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat(cc);
+  SatEngine sat(cc);
   const netlist::NetId c = nl.find("c");
   ASSERT_NE(c, netlist::kNullNet);
 
@@ -58,7 +60,7 @@ TEST(SatEngine, CertifiesConstantZeroNet) {
   const auto z = nl.add_gate(netlist::GateType::kAnd, "z", {a, na});
   nl.mark_output(z);
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat(cc);
+  SatEngine sat(cc);
 
   EXPECT_EQ(sat.generate({z, false}).status, SatStatus::kRedundant);
 
@@ -72,7 +74,7 @@ TEST(SatEngine, CertifiesConstantZeroNet) {
 TEST(SatEngine, EveryCollapsedC432FaultIsDecided) {
   const auto nl = circuits::make_circuit("c432");
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat(cc);
+  SatEngine sat(cc);
   const auto fl = fault::FaultList::collapsed(cc);
   sim::FaultSim fsim(nl, fl);
   std::size_t detected = 0, redundant = 0;
@@ -91,25 +93,30 @@ TEST(SatEngine, EveryCollapsedC432FaultIsDecided) {
   EXPECT_GT(redundant, 0u);
 }
 
+// Each fault solves on a copy of the engine's loaded snapshot, so a
+// result must not depend on what the engine solved before: one engine
+// solves every collapsed c880 fault forward and then in reverse, and
+// both passes must equal a second, fresh engine's answers.
 TEST(SatEngine, DeterministicAcrossCallsAndEngines) {
   const auto nl = circuits::make_circuit("c880");
   const netlist::CompiledCircuit cc(nl);
-  const SatEngine sat_a(cc);
-  const SatEngine sat_b(cc);
   const auto fl = fault::FaultList::collapsed(cc);
-  for (std::size_t fid = 0; fid < fl.size(); fid += 17) {
-    const SatResult x = sat_a.generate(fl[fid]);
-    const SatResult y = sat_a.generate(fl[fid]);  // same engine again
-    const SatResult z = sat_b.generate(fl[fid]);  // fresh engine
-    EXPECT_EQ(x.status, y.status);
-    EXPECT_EQ(x.status, z.status);
-    if (x.status == SatStatus::kDetected) {
-      EXPECT_EQ(x.pattern, y.pattern);
-      EXPECT_EQ(x.pattern, z.pattern);
-    }
-    EXPECT_EQ(x.decisions, z.decisions);
-    EXPECT_EQ(x.conflicts, z.conflicts);
+  SatEngine fresh(cc);
+  std::vector<SatResult> want;
+  for (std::size_t fid = 0; fid < fl.size(); ++fid) {
+    want.push_back(fresh.generate(fl[fid]));
   }
+  SatEngine sat(cc);
+  const auto expect_same = [&](std::size_t fid) {
+    SCOPED_TRACE(fault_name(nl, fl[fid]));
+    const SatResult r = sat.generate(fl[fid]);
+    EXPECT_EQ(r.status, want[fid].status);
+    EXPECT_EQ(r.pattern, want[fid].pattern);
+    EXPECT_EQ(r.conflicts, want[fid].conflicts);
+    EXPECT_EQ(r.decisions, want[fid].decisions);
+  };
+  for (std::size_t fid = 0; fid < fl.size(); ++fid) expect_same(fid);
+  for (std::size_t fid = fl.size(); fid-- > 0;) expect_same(fid);
 }
 
 // End-to-end escalation through run_atpg: a backtrack limit of zero
@@ -159,7 +166,7 @@ TEST(SatEngine, ConflictLimitAborts) {
   const netlist::CompiledCircuit cc(nl);
   SatEngineOptions opts;
   opts.conflict_limit = 1;
-  const SatEngine sat(cc, opts);
+  SatEngine sat(cc, opts);
   const auto fl = fault::FaultList::collapsed(cc);
   std::size_t aborted = 0;
   for (std::size_t fid = 0; fid < fl.size(); ++fid) {
